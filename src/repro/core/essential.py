@@ -16,13 +16,9 @@ rationale). Forward propagation uses roles ``(qid, source=s, excluded=t)``
 on ``G``; backward propagation uses roles ``(qid, source=t, excluded=s)``
 on ``G^r``.
 
-Two physical strategies for the per-vertex set intersection:
-
-- ``relational`` (default, pure Catalyst): every in-contribution set is
-  exploded, and a vertex ``w`` survives for target ``y`` iff it appears in
-  *all* contributions — ``count(qid,y,w) == n_contributions(qid,y)``.
-- ``pandas``: a grouped ``applyInPandas`` that reduces the contribution
-  arrays with Python set intersection (fewer shuffles per layer).
+The per-vertex set intersection is pure Catalyst: every in-contribution set
+is exploded, and a vertex ``w`` survives for target ``y`` iff it appears in
+*all* contributions — ``count(qid,y,w) == n_contributions(qid,y)``.
 
 Forward-looking pruning (§3.3, Theorem 3.6): when ``dist_prune`` — a
 ``(qid, v, dist)`` map of shortest distances *to the opposite query
@@ -33,7 +29,6 @@ so kept values stay exact.
 """
 from __future__ import annotations
 
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, Window
 from pyspark.sql import functions as F
 
@@ -57,7 +52,7 @@ def backward_roles(queries: DataFrame) -> DataFrame:
     )
 
 
-def _intersect_relational(contrib: DataFrame) -> DataFrame:
+def _intersect(contrib: DataFrame) -> DataFrame:
     """w ∈ EV(qid,y) iff w appears in every contribution set for (qid,y)."""
     w_tot = Window.partitionBy("qid", "v")
     exploded = contrib.withColumn("n", F.count("*").over(w_tot)).select(
@@ -72,25 +67,6 @@ def _intersect_relational(contrib: DataFrame) -> DataFrame:
     )
 
 
-def _intersect_pandas(contrib: DataFrame) -> DataFrame:
-    """Grouped set-intersection via applyInPandas (alternative physical op)."""
-
-    def intersect(pdf: pd.DataFrame) -> pd.DataFrame:
-        sets = [set(c) for c in pdf["c"]]
-        inter = set.intersection(*sets) if sets else set()
-        return pd.DataFrame(
-            {
-                "qid": [pdf["qid"].iloc[0]],
-                "v": [pdf["v"].iloc[0]],
-                "ev": [sorted(inter)],
-            }
-        )
-
-    return contrib.groupBy("qid", "v").applyInPandas(
-        intersect, schema="qid long, v long, ev array<bigint>"
-    )
-
-
 def propagate(
     spark: SparkSession,
     edges: DataFrame,
@@ -98,7 +74,6 @@ def propagate(
     k: int,
     *,
     dist_prune: DataFrame | None = None,
-    impl: str = "relational",
     pin=no_pin,
 ) -> DataFrame:
     """Layered essential-vertex computation for a query batch, layers 0..k-1.
@@ -111,10 +86,6 @@ def propagate(
     row (ev = {source}) is present at every layer so that one-hop
     contributions keep flowing and edge labeling can look up EV_l(s,s).
     """
-    if impl not in ("relational", "pandas"):
-        raise ValueError(f"unknown intersection impl: {impl!r}")
-    intersect = _intersect_relational if impl == "relational" else _intersect_pandas
-
     src_rows = roles.select(
         "qid",
         F.col("source").alias("v"),
@@ -146,7 +117,7 @@ def propagate(
         )
         # Each layer is referenced twice (next layer + final union): pin it
         # so the logical plan stays O(1) per layer (see repro.spark_util).
-        cur = pin(intersect(contrib).unionByName(src_rows))
+        cur = pin(_intersect(contrib).unionByName(src_rows))
         layers.append(cur.withColumn("l", F.lit(l).cast("int")))
         prev = cur
     out = layers[0]
@@ -158,7 +129,7 @@ def propagate(
 def ev_to_dict(ev_df: DataFrame) -> dict:
     """Collect a propagation result as ``{(qid, v, l): frozenset(ev)}``.
 
-    For batch-of-one results (or single-query wrappers) the ``qid`` is 0.
+    For batch-of-one results the ``qid`` is 0.
     Test helper.
     """
     return {

@@ -4,8 +4,7 @@ verification, batched over queries.
 ``eve_spg_batch`` runs a whole batch of ``(s, t)`` queries for one hop
 constraint ``k`` through a single shared dataflow (see
 :mod:`repro.graphs.bfs` for why batching is the natural dataflow
-formulation of the paper's 1000-query evaluation protocol). ``eve_spg`` is
-the batch-of-one convenience.
+formulation of the paper's 1000-query evaluation protocol).
 
 Phases 1–2 are pure Catalyst dataflow; phase 3 is the mapInPandas/driver
 DFS kernel (see :mod:`repro.core.verify`). For ``k ≤ 4`` the upper-bound
@@ -48,10 +47,6 @@ class EveResult:
     #: phase timings (shared by every result of the batch)
     timings: Dict[str, float] = field(default_factory=dict)
 
-    @property
-    def total_time(self) -> float:
-        return sum(self.timings.values())
-
     def spg_df(self, spark: SparkSession) -> DataFrame:
         """The answer as a Spark DataFrame ``(src, dst)``."""
         pdf = pd.DataFrame(sorted(self.spg), columns=["src", "dst"])
@@ -71,7 +66,6 @@ def eve_spg_batch(
     distance_mode: str = "bidirectional",
     prune: bool = True,
     order: bool = True,
-    impl: str = "relational",
     distributed: bool | None = None,
     time_phases: bool = False,
 ) -> List[EveResult]:
@@ -103,11 +97,11 @@ def eve_spg_batch(
     rev = reverse_edges(edges)
     evf = propagate(
         spark, edges, forward_roles(queries), k,
-        dist_prune=dist_t if prune else None, impl=impl, pin=pin,
+        dist_prune=dist_t if prune else None, pin=pin,
     )
     evb = propagate(
         spark, rev, backward_roles(queries), k,
-        dist_prune=dist_s if prune else None, impl=impl, pin=pin,
+        dist_prune=dist_s if prune else None, pin=pin,
     )
     if time_phases:
         evf, evb = pin(evf), pin(evb)
@@ -162,15 +156,3 @@ def eve_spg_batch(
         )
         for qid in range(len(query_pairs))
     ]
-
-
-def eve_spg(
-    spark: SparkSession,
-    edges: DataFrame,
-    s: int,
-    t: int,
-    k: int,
-    **kwargs,
-) -> EveResult:
-    """Single-query EVE (batch of one); see :func:`eve_spg_batch`."""
-    return eve_spg_batch(spark, edges, [(s, t)], k, **kwargs)[0]

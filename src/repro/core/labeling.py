@@ -97,8 +97,3 @@ def label_edges(
             .alias("label"),
         )
     )
-
-
-def upper_bound_graph(labels: DataFrame) -> DataFrame:
-    """SPG^u_k per query: edges with label ≥ 1, as ``(qid, src, dst, label)``."""
-    return labels.where(F.col("label") >= 1)

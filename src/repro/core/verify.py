@@ -34,6 +34,12 @@ from pyspark.sql import DataFrame, SparkSession
 
 Edge = Tuple[int, int]
 
+#: Undetermined edges (summed over a batch) from which ``batch_verify``
+#: auto-selects the distributed ``mapInPandas`` path.
+MIN_DISTRIBUTED = 256
+#: Partitions of the undetermined-edge table on the distributed path.
+VERIFY_PARTITIONS = 16
+
 
 def _multi_source_bfs(
     adj: Dict[int, List[int]], sources: Iterable[int]
@@ -86,7 +92,8 @@ def departures_arrivals(
     cap = max(0, k - 2)
     in_d = {v: sorted(set(xs))[:cap] for v, xs in in_d.items()}
     out_a = {v: sorted(set(ys))[:cap] for v, ys in out_a.items()}
-    assert all((s, x) in es and (x, v) in es for v, xs in in_d.items() for x in xs)
+    if not all((s, x) in es and (x, v) in es for v, xs in in_d.items() for x in xs):
+        raise ValueError("In_D lists a vertex without its SPG^u edges")
     return set(in_d), set(out_a), in_d, out_a
 
 
@@ -146,7 +153,8 @@ def verify_kernel(
     for u0, v0 in undetermined:
         if (u0, v0) in confirmed:
             continue
-        assert u0 not in (s, t) and v0 not in (s, t), "undetermined edge touches s/t"
+        if u0 in (s, t) or v0 in (s, t):
+            raise ValueError(f"undetermined edge {(u0, v0)} touches s or t")
         stk_v: Set[int] = {u0, v0, s, t}
         stk_e: List[Edge] = [(u0, v0)]
 
@@ -212,18 +220,16 @@ def batch_verify(
     *,
     order: bool = True,
     distributed: bool | None = None,
-    min_distributed: int = 256,
-    n_partitions: int = 16,
 ) -> Dict[int, Set[Edge]]:
     """Confirm undetermined edges for a batch of queries.
 
     ``per_query`` maps ``qid → (spgu_edges, undetermined, s, t)``. Returns
     ``qid → confirmed undetermined edges``. ``distributed=None``
     auto-selects: driver-side kernel when the total undetermined count is
-    small, otherwise a ``mapInPandas`` over ``(qid, src, dst)`` rows with all
-    per-query search structures broadcast — parallelism comes from both the
-    queries and the partitioning of each query's undetermined set. Both
-    paths run the identical kernel.
+    below :data:`MIN_DISTRIBUTED`, otherwise a ``mapInPandas`` over
+    ``(qid, src, dst)`` rows with all per-query search structures broadcast —
+    parallelism comes from both the queries and the partitioning of each
+    query's undetermined set. Both paths run the identical kernel.
     """
     work = {
         qid: (spgu, und, s, t)
@@ -234,7 +240,7 @@ def batch_verify(
         return {qid: set() for qid in per_query}
     total_undet = sum(len(und) for _, und, _, _ in work.values())
     if distributed is None:
-        distributed = total_undet >= min_distributed
+        distributed = total_undet >= MIN_DISTRIBUTED
 
     structures = {
         qid: _prepare_structures(spgu, s, t, k, order)
@@ -283,29 +289,8 @@ def batch_verify(
     und_df = spark.createDataFrame(
         pd.DataFrame(rows, columns=["qid", "src", "dst"]),
         schema="qid long, src long, dst long",
-    ).repartition(min(n_partitions, max(1, len(rows))))
+    ).repartition(min(VERIFY_PARTITIONS, max(1, len(rows))))
     res = und_df.mapInPandas(run, schema="qid long, src long, dst long").distinct()
     for r in res.collect():
         out[int(r["qid"])].add((int(r["src"]), int(r["dst"])))
     return out
-
-
-def verify_undetermined(
-    spark: SparkSession,
-    spgu_edges: Sequence[Edge],
-    undetermined: Sequence[Edge],
-    s: int,
-    t: int,
-    k: int,
-    *,
-    order: bool = True,
-    distributed: bool | None = None,
-) -> Set[Edge]:
-    """Single-query verification (batch of one); see :func:`batch_verify`."""
-    return batch_verify(
-        spark,
-        {0: (spgu_edges, undetermined, s, t)},
-        k,
-        order=order,
-        distributed=distributed,
-    )[0]

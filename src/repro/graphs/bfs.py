@@ -1,31 +1,32 @@
-"""Distributed BFS shortest-distance dataflows (§3.3 substrate), batched.
+"""Distributed BFS shortest-distance dataflow (§3.3 substrate), batched.
 
-All engines are *query-batched*: a batch of queries ``(qid, s, t)`` runs
+The engine is *query-batched*: a batch of queries ``(qid, s, t)`` runs
 through one shared dataflow, with every frontier/distance table carrying a
 ``qid`` column. This is the natural bulk-dataflow formulation — per-layer
 driver/planning overhead is paid once per batch instead of once per query —
 and it mirrors the paper's evaluation protocol (1000 random queries per
-configuration). Single-query helpers are batch-of-1 wrappers.
+configuration).
 
-Engines (all return ``(qid, v, dist)`` with one row per reached vertex;
-unreached vertices are absent, i.e. distance +∞):
+:func:`batch_distance_maps` searches forward from every ``s`` and backward
+from every ``t`` in two phases (paper §3.3, Fig. 6(a)):
 
-- :func:`batch_bfs_distances` — bounded multi-source BFS, one lazy plan per
-  level with lineage pinned (see :mod:`repro.spark_util`).
-- :func:`batch_bidirectional_distances` — forward from every ``s`` and
-  backward from every ``t`` with equal depth, then each side continues for
-  the remaining steps restricted to the other side's explored region
-  (paper §3.3, Fig. 6(a)).
-- :func:`batch_adaptive_bidirectional_distances` — per step, the side with
-  the smaller aggregate frontier expands (Adaptive Bi-directional Search
-  [2,21], aggregated over the batch); frontier counts are driver actions.
+1. each side expands without restriction; ``mode`` sets the depths —
+   ``single`` runs both sides to ``k`` (plain BFS), ``bidirectional`` runs
+   ``⌈k/2⌉`` forward and ``⌊k/2⌋`` backward, and ``adaptive`` expands the
+   side with the smaller aggregate frontier (summed over the batch) until
+   the depths sum to ``k`` (Adaptive Bi-directional Search [2,21]; frontier
+   counts are driver actions);
+2. each side continues to depth ``k``, restricted to the vertices the other
+   side explored in phase 1.
 
-Only vertices with ``Δ(s,v) + Δ(v,t) ≤ k`` matter downstream (forward-looking
-pruning), which is exactly what the bidirectional variants compute.
+Every vertex with ``Δ(s,v) + Δ(v,t) ≤ k`` — the only vertices downstream
+consumers read (forward-looking pruning) — gets both exact distances in
+every mode; the mode changes efficiency, never those distances.
 """
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from functools import reduce
+from typing import Optional, Sequence, Tuple
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
@@ -37,6 +38,8 @@ from repro.spark_util import no_pin
 #: Schema for a query batch.
 QUERY_SCHEMA = "qid long, s long, t long"
 
+MODES = ("single", "bidirectional", "adaptive")
+
 
 def queries_df(spark: SparkSession, queries: Sequence[Tuple[int, int]]) -> DataFrame:
     """Build the ``(qid, s, t)`` batch table from (s, t) pairs."""
@@ -47,165 +50,51 @@ def queries_df(spark: SparkSession, queries: Sequence[Tuple[int, int]]) -> DataF
     return spark.createDataFrame(pdf, schema=QUERY_SCHEMA).coalesce(1)
 
 
-def _seeds(queries: DataFrame, col: str) -> DataFrame:
-    return queries.select("qid", F.col(col).alias("v")).distinct()
+class _Side:
+    """One search direction: its edges, per-level ``(qid, v, dist)`` tables
+    and current ``(qid, v)`` frontier."""
 
+    def __init__(self, edges: DataFrame, seeds: DataFrame) -> None:
+        self.edges = edges
+        self.frontier = seeds
+        self.levels = [seeds.withColumn("dist", F.lit(0).cast("int"))]
+        self.depth = 0
+        self.size = 1  # aggregate frontier count; only ``adaptive`` updates it
 
-def batch_bfs_distances(
-    spark: SparkSession,
-    edges: DataFrame,
-    seeds: DataFrame,
-    max_depth: int,
-    *,
-    restrict_dst_to: Optional[DataFrame] = None,
-    start_depth: int = 0,
-    start_dist: Optional[DataFrame] = None,
-    pin=no_pin,
-) -> DataFrame:
-    """Bounded multi-source BFS per query: ``(qid, v, dist)``.
-
-    ``seeds`` is a ``(qid, v)`` table (one or more sources per query — the
-    multi-source form also serves the §5.3 nearest-arrival orderings). The
-    frontier is broadcast into the edge join (one map-side join + one dedup
-    shuffle per level); revisited vertices ride along and are resolved by the
-    final ``min(dist)`` aggregation. ``restrict_dst_to`` (a ``(qid, v)``
-    table) restricts expansion — the "continue over the other side's explored
-    region" phase of bidirectional search. ``start_dist``/``start_depth``
-    resume a previous BFS from its frontier.
-    """
-    if start_dist is None:
-        frontier = seeds
-        levels = [seeds.withColumn("dist", F.lit(0).cast("int"))]
-    else:
-        levels = [start_dist]
-        frontier = start_dist.where(F.col("dist") == start_depth).select("qid", "v")
-    per_query_edges = "qid" in edges.columns
-    for d in range(start_depth + 1, max_depth + 1):
-        if per_query_edges:
-            e = edges.select(
-                F.col("qid").alias("eqid"), F.col("src").alias("esrc"), F.col("dst")
-            )
-            nxt = (
-                F.broadcast(frontier)
-                .join(
-                    e,
-                    (frontier["qid"] == e["eqid"]) & (frontier["v"] == e["esrc"]),
-                )
-                .select(frontier["qid"], F.col("dst").alias("v"))
-                .distinct()
-            )
-        else:
-            nxt = (
-                F.broadcast(frontier)
-                .join(edges, frontier["v"] == edges["src"])
-                .select("qid", F.col("dst").alias("v"))
-                .distinct()
-            )
-        if restrict_dst_to is not None:
-            nxt = nxt.join(F.broadcast(restrict_dst_to), ["qid", "v"], "left_semi")
-        nxt = pin(nxt)
-        levels.append(nxt.withColumn("dist", F.lit(d).cast("int")))
-        frontier = nxt
-    allv = levels[0]
-    for lv in levels[1:]:
-        allv = allv.unionByName(lv)
-    return pin(allv.groupBy("qid", "v").agg(F.min("dist").alias("dist")))
-
-
-def batch_bidirectional_distances(
-    spark: SparkSession,
-    edges: DataFrame,
-    queries: DataFrame,
-    k: int,
-    pin=no_pin,
-) -> Tuple[DataFrame, DataFrame]:
-    """Equal-depth bidirectional search: ``(dist_from_s, dist_to_t)`` per query.
-
-    Forward explores ``⌈k/2⌉`` hops, backward ``⌊k/2⌋``; each side then
-    continues to depth ``k`` over the other side's explored vertices, so
-    every vertex with ``Δ(s,v)+Δ(v,t) ≤ k`` gets both exact distances.
-    """
-    depth_f = (k + 1) // 2
-    depth_b = k - depth_f
-    rev = reverse_edges(edges)
-    dist_s = batch_bfs_distances(spark, edges, _seeds(queries, "s"), depth_f, pin=pin)
-    dist_t = batch_bfs_distances(spark, rev, _seeds(queries, "t"), depth_b, pin=pin)
-    seen_b = dist_t.select("qid", "v")
-    seen_f = dist_s.select("qid", "v")
-    dist_s = batch_bfs_distances(
-        spark, edges, _seeds(queries, "s"), k,
-        restrict_dst_to=seen_b, start_depth=depth_f, start_dist=dist_s, pin=pin,
-    )
-    dist_t = batch_bfs_distances(
-        spark, rev, _seeds(queries, "t"), k,
-        restrict_dst_to=seen_f, start_depth=depth_b, start_dist=dist_t, pin=pin,
-    )
-    return dist_s, dist_t
-
-
-def batch_adaptive_bidirectional_distances(
-    spark: SparkSession,
-    edges: DataFrame,
-    queries: DataFrame,
-    k: int,
-    pin=no_pin,
-) -> Tuple[DataFrame, DataFrame]:
-    """Adaptive Bi-directional Search (§3.3), aggregated over the batch.
-
-    At each step, the direction whose *aggregate* frontier (summed over
-    queries) is smaller expands, until the combined depth reaches ``k``;
-    each side then completes the remaining depth restricted to the other
-    side's explored region. Per-query semantics match
-    :func:`batch_bidirectional_distances` for the chosen split — adaptivity
-    changes efficiency, never results.
-    """
-    rev = reverse_edges(edges)
-    f_frontier = pin(_seeds(queries, "s"))
-    b_frontier = pin(_seeds(queries, "t"))
-    f_levels = [f_frontier.withColumn("dist", F.lit(0).cast("int"))]
-    b_levels = [b_frontier.withColumn("dist", F.lit(0).cast("int"))]
-    f_depth = b_depth = 0
-    f_size, b_size = 1, 1
-
-    def _step(frontier: DataFrame, es: DataFrame):
-        nxt = pin(
+    def step(self, pin, seen: Optional[DataFrame] = None) -> None:
+        """Expand one level. The frontier is broadcast into the edge join (one
+        map-side join + one dedup shuffle); revisited vertices ride along and
+        are resolved by the ``min(dist)`` fold. ``seen`` (a ``(qid, v)``
+        table) restricts the new frontier to the other side's region."""
+        frontier, e = self.frontier, self.edges
+        on = frontier["v"] == e["src"]
+        if "qid" in e.columns:  # per-query edge sets
+            e = e.select(F.col("qid").alias("eqid"), F.col("src").alias("esrc"), "dst")
+            on = (frontier["qid"] == e["eqid"]) & (frontier["v"] == e["esrc"])
+        nxt = (
             F.broadcast(frontier)
-            .join(es, frontier["v"] == es["src"])
-            .select("qid", F.col("dst").alias("v"))
+            .join(e, on)
+            .select(frontier["qid"], F.col("dst").alias("v"))
             .distinct()
         )
-        # The count drives the control flow (and materialises the pin).
-        return nxt, nxt.count()
+        if seen is not None:
+            nxt = nxt.join(F.broadcast(seen), ["qid", "v"], "left_semi")
+        self.frontier = pin(nxt)
+        self.depth += 1
+        self.levels.append(
+            self.frontier.withColumn("dist", F.lit(self.depth).cast("int"))
+        )
 
-    while f_depth + b_depth < k and (f_size > 0 or b_size > 0):
-        forward_turn = (f_size <= b_size and f_size > 0) or b_size == 0
-        if forward_turn:
-            f_frontier, f_size = _step(f_frontier, edges)
-            f_depth += 1
-            f_levels.append(f_frontier.withColumn("dist", F.lit(f_depth).cast("int")))
-        else:
-            b_frontier, b_size = _step(b_frontier, rev)
-            b_depth += 1
-            b_levels.append(b_frontier.withColumn("dist", F.lit(b_depth).cast("int")))
-
-    def _fold(levels):
-        allv = levels[0]
-        for lv in levels[1:]:
-            allv = allv.unionByName(lv)
-        return pin(allv.groupBy("qid", "v").agg(F.min("dist").alias("dist")))
-
-    f_dist, b_dist = _fold(f_levels), _fold(b_levels)
-    seen_f = f_dist.select("qid", "v")
-    seen_b = b_dist.select("qid", "v")
-    f_dist = batch_bfs_distances(
-        spark, edges, _seeds(queries, "s"), k,
-        restrict_dst_to=seen_b, start_depth=f_depth, start_dist=f_dist, pin=pin,
-    )
-    b_dist = batch_bfs_distances(
-        spark, rev, _seeds(queries, "t"), k,
-        restrict_dst_to=seen_f, start_depth=b_depth, start_dist=b_dist, pin=pin,
-    )
-    return f_dist, b_dist
+    def fold(self, pin) -> None:
+        """Collapse the levels into ``dist``, one ``min(dist)`` row per
+        ``(qid, v)``; further steps expand from its deepest level."""
+        self.dist = pin(
+            reduce(DataFrame.unionByName, self.levels)
+            .groupBy("qid", "v")
+            .agg(F.min("dist").alias("dist"))
+        )
+        self.levels = [self.dist]
+        self.frontier = self.dist.where(F.col("dist") == self.depth).select("qid", "v")
 
 
 def batch_distance_maps(
@@ -216,54 +105,35 @@ def batch_distance_maps(
     mode: str = "bidirectional",
     pin=no_pin,
 ) -> Tuple[DataFrame, DataFrame]:
-    """Dispatch on distance engine: ``single`` / ``bidirectional`` / ``adaptive``."""
-    if mode == "single":
-        return (
-            batch_bfs_distances(spark, edges, _seeds(queries, "s"), k, pin=pin),
-            batch_bfs_distances(
-                spark, reverse_edges(edges), _seeds(queries, "t"), k, pin=pin
-            ),
-        )
-    if mode == "bidirectional":
-        return batch_bidirectional_distances(spark, edges, queries, k, pin=pin)
-    if mode == "adaptive":
-        return batch_adaptive_bidirectional_distances(spark, edges, queries, k, pin=pin)
-    raise ValueError(f"unknown distance mode: {mode!r}")
+    """``(dist_from_s, dist_to_t)``, each ``(qid, v, dist)`` with one row per
+    reached vertex (unreached vertices are absent, i.e. distance +∞).
 
-
-# ---------------------------------------------------------------------------
-# Single-query conveniences (batch of one).
-# ---------------------------------------------------------------------------
-
-def bfs_distances(
-    spark: SparkSession,
-    edges: DataFrame,
-    sources: Iterable[int] | int,
-    max_depth: int,
-    *,
-    pin=no_pin,
-) -> DataFrame:
-    """Single-query bounded multi-source BFS: ``(v, dist)``."""
-    if isinstance(sources, int):
-        sources = [sources]
-    seeds = spark.createDataFrame(
-        sorted({(0, int(v)) for v in sources}), "qid long, v long"
-    ).coalesce(1)
-    return batch_bfs_distances(spark, edges, seeds, max_depth, pin=pin).select(
-        "v", "dist"
+    ``edges`` is a shared ``(src, dst)`` table or a per-query
+    ``(qid, src, dst)`` table; ``mode`` ∈ :data:`MODES` (see module doc).
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown distance mode: {mode!r}")
+    fwd = _Side(edges, queries.select("qid", F.col("s").alias("v")).distinct())
+    bwd = _Side(
+        reverse_edges(edges), queries.select("qid", F.col("t").alias("v")).distinct()
     )
-
-
-def distance_maps(
-    spark: SparkSession,
-    edges: DataFrame,
-    s: int,
-    t: int,
-    k: int,
-    mode: str = "bidirectional",
-    pin=no_pin,
-) -> Tuple[DataFrame, DataFrame]:
-    """Single-query distance maps: ``((v, dist) from s, (v, dist) to t)``."""
-    q = queries_df(spark, [(s, t)])
-    ds, dt = batch_distance_maps(spark, edges, q, k, mode=mode, pin=pin)
-    return ds.select("v", "dist"), dt.select("v", "dist")
+    if mode == "adaptive":
+        while fwd.depth + bwd.depth < k and (fwd.size or bwd.size):
+            side = fwd if 0 < fwd.size <= bwd.size or not bwd.size else bwd
+            side.step(pin)
+            # The count drives the control flow (and materialises the pin).
+            side.size = side.frontier.count()
+    else:
+        depths = (k, k) if mode == "single" else ((k + 1) // 2, k // 2)
+        for side, depth in zip((fwd, bwd), depths):
+            while side.depth < depth:
+                side.step(pin)
+    fwd.fold(pin)
+    bwd.fold(pin)
+    seen_f, seen_b = fwd.dist.select("qid", "v"), bwd.dist.select("qid", "v")
+    for side, seen in ((fwd, seen_b), (bwd, seen_f)):
+        if side.depth < k:
+            while side.depth < k:
+                side.step(pin, seen)
+            side.fold(pin)
+    return fwd.dist, bwd.dist

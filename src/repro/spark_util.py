@@ -15,7 +15,8 @@ when the RDDs are garbage-collected after :meth:`DFPin.release`.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
+import shlex
+from pathlib import Path
 
 from pyspark.sql import DataFrame, SparkSession
 
@@ -25,13 +26,17 @@ def ensure_session_env() -> None:
 
     Must run before the first SparkSession is created. Adds shuffle-local
     directories on tmpfs (the sandbox's overlay filesystem makes shuffle
-    file I/O disproportionately slow) and disables the console progress bar
-    (which floods captured test output). Safe to call repeatedly; respects
-    an existing setting.
+    file I/O disproportionately slow), disables the console progress bar
+    (which floods captured test output), and puts the directory ``repro``
+    was imported from on the Python workers' path, so that a script that
+    only extended its own ``sys.path`` (``python jobs/…``) can still run
+    Python UDFs. Safe to call repeatedly; respects an existing setting.
     """
+    src = Path(__file__).resolve().parents[1]
     extra = (
         "--conf spark.local.dir=/dev/shm/spark-local "
         "--conf spark.ui.showConsoleProgress=false "
+        f"--conf {shlex.quote(f'spark.executorEnv.PYTHONPATH={src}')} "
     )
     args = os.environ.get("PYSPARK_SUBMIT_ARGS")
     if args is None:
@@ -61,12 +66,11 @@ def tune_runtime(spark: SparkSession, n_partitions: int = 4) -> None:
 class DFPin:
     """Truncate lineage of per-iteration DataFrames; drop refs at release."""
 
-    def __init__(self, eager: bool = False) -> None:
-        self._eager = eager
+    def __init__(self) -> None:
         self._held: list[DataFrame] = []
 
     def __call__(self, df: DataFrame) -> DataFrame:
-        df = df.localCheckpoint(eager=self._eager)
+        df = df.localCheckpoint(eager=False)
         self._held.append(df)
         return df
 
@@ -79,34 +83,3 @@ class DFPin:
 def no_pin(df: DataFrame) -> DataFrame:
     """Identity pin (for callers managing materialisation themselves)."""
     return df
-
-
-@contextmanager
-def query_pin():
-    """``with query_pin() as pin: …`` — auto-release on exit."""
-    pin = DFPin()
-    try:
-        yield pin
-    finally:
-        pin.release()
-
-
-@contextmanager
-def shuffle_partitions(spark: SparkSession, n: int):
-    """Temporarily set ``spark.sql.shuffle.partitions`` (tiny per-query graphs
-    do not benefit from the session-wide OLAP default)."""
-    old = spark.conf.get("spark.sql.shuffle.partitions")
-    spark.conf.set("spark.sql.shuffle.partitions", str(n))
-    try:
-        yield
-    finally:
-        spark.conf.set("spark.sql.shuffle.partitions", old)
-
-
-def partitions_for(n_edges: int) -> int:
-    """Shuffle-partition heuristic for per-query subgraph dataflow."""
-    if n_edges < 50_000:
-        return 1
-    if n_edges < 500_000:
-        return 4
-    return 16

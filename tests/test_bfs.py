@@ -1,15 +1,10 @@
-"""Batched BFS distance engines vs the DuckDB recursive-CTE oracle."""
+"""Batched BFS distance maps vs the DuckDB recursive-CTE oracle."""
 import pandas as pd
 import pytest
 
 from repro import oracle
 from repro.core.reference import bfs_dist
-from repro.graphs.bfs import (
-    batch_bfs_distances,
-    batch_distance_maps,
-    bfs_distances,
-    queries_df,
-)
+from repro.graphs.bfs import batch_distance_maps, queries_df
 from repro.graphs.generators import grid, random_digraph, to_spark
 from repro.graphs.model import adjacency, reverse_adjacency
 from repro.graphs.queries import random_queries
@@ -28,77 +23,71 @@ def gsetup(gspark):
 
 
 def test_single_bfs_matches_duckdb(gspark, gsetup):
-    """Single-query BFS distances == DuckDB recursive SQL."""
+    """Single-directional BFS distances from s == DuckDB recursive SQL."""
     pdf, adj, edges, qs = gsetup
-    s = qs[0][0]
-    got = bfs_distances(gspark, edges, s, K)
-    oracle.assert_equivalent(got, oracle.distances_sql(s, K), edges=pdf)
+    ds, _ = batch_distance_maps(
+        gspark, edges, queries_df(gspark, qs[:1]), K, mode="single"
+    )
+    got = ds.select("v", "dist")
+    oracle.assert_equivalent(got, oracle.distances_sql(qs[0][0], K), edges=pdf)
 
 
 def test_single_bfs_reversed_matches_duckdb(gspark, gsetup):
-    from repro.graphs.model import reverse_edges
-
+    """Single-directional BFS distances to t == DuckDB recursive SQL."""
     pdf, adj, edges, qs = gsetup
-    t = qs[0][1]
-    got = bfs_distances(gspark, reverse_edges(edges), t, K)
+    _, dt = batch_distance_maps(
+        gspark, edges, queries_df(gspark, qs[:1]), K, mode="single"
+    )
+    got = dt.select("v", "dist")
     oracle.assert_equivalent(
-        got, oracle.distances_sql(t, K, reversed_=True), edges=pdf
+        got, oracle.distances_sql(qs[0][1], K, reversed_=True), edges=pdf
     )
 
 
 @pytest.mark.parametrize("mode", ["single", "bidirectional", "adaptive"])
 def test_distance_maps_exact_on_k_ball(gspark, gsetup, mode):
-    """All engines agree with reference BFS on every vertex with
-    Δ(s,v)+Δ(v,t) ≤ k (the only vertices downstream consumers read)."""
+    """Every mode agrees with reference BFS on every vertex with
+    Δ(s,v)+Δ(v,t) ≤ k (the only vertices downstream consumers read), on the
+    shared edge table and on a per-query (qid, src, dst) copy of it."""
     pdf, adj, edges, qs = gsetup
     radj = reverse_adjacency(pdf)
 
     def radj_list(v):
         return radj.get(v, [])
 
+    per_query = gspark.createDataFrame(
+        pd.concat([pdf.assign(qid=i) for i in range(len(qs))])[["qid", "src", "dst"]],
+        schema="qid long, src long, dst long",
+    )
+
     q = queries_df(gspark, qs)
-    pin = DFPin()
-    ds, dt = batch_distance_maps(gspark, edges, q, K, mode=mode, pin=pin)
-    got_s = {(int(r["qid"]), int(r["v"])): int(r["dist"]) for r in ds.collect()}
-    got_t = {(int(r["qid"]), int(r["v"])): int(r["dist"]) for r in dt.collect()}
-    pin.release()
-    for qid, (s, t) in enumerate(qs):
-        ref_s = bfs_dist(adj, s, K)
-        ref_t = bfs_dist({v: radj_list(v) for v in radj}, t, K)
-        for v in set(ref_s) | set(ref_t):
-            if ref_s.get(v, 99) + ref_t.get(v, 99) <= K:
-                assert got_s[(qid, v)] == ref_s[v], (mode, qid, v)
-                assert got_t[(qid, v)] == ref_t[v], (mode, qid, v)
-    # engines never report a *wrong* (too small) distance anywhere
-    for (qid, v), d in got_s.items():
-        s = qs[qid][0]
-        assert bfs_dist(adj, s, K).get(v) == d
-
-
-def test_multi_source_bfs(gspark, gsetup):
-    """Multi-source BFS (used by §5.3 orderings) == min over driver BFS."""
-    pdf, adj, edges, qs = gsetup
-    sources = [qs[0][0], qs[1][0], qs[2][0]]
-    got = {
-        int(r["v"]): int(r["dist"])
-        for r in bfs_distances(gspark, edges, sources, 4).collect()
-    }
-    refs = [bfs_dist(adj, s, 4) for s in sources]
-    want = {}
-    for ref in refs:
-        for v, d in ref.items():
-            want[v] = min(want.get(v, 99), d)
-    assert got == want
+    for graph in (edges, per_query):
+        pin = DFPin()
+        ds, dt = batch_distance_maps(gspark, graph, q, K, mode=mode, pin=pin)
+        got_s = {(int(r["qid"]), int(r["v"])): int(r["dist"]) for r in ds.collect()}
+        got_t = {(int(r["qid"]), int(r["v"])): int(r["dist"]) for r in dt.collect()}
+        pin.release()
+        for qid, (s, t) in enumerate(qs):
+            ref_s = bfs_dist(adj, s, K)
+            ref_t = bfs_dist({v: radj_list(v) for v in radj}, t, K)
+            for v in set(ref_s) | set(ref_t):
+                if ref_s.get(v, 99) + ref_t.get(v, 99) <= K:
+                    assert got_s[(qid, v)] == ref_s[v], (mode, qid, v)
+                    assert got_t[(qid, v)] == ref_t[v], (mode, qid, v)
+        # no mode reports a *wrong* (too small) distance anywhere
+        for (qid, v), d in got_s.items():
+            s = qs[qid][0]
+            assert bfs_dist(adj, s, K).get(v) == d
 
 
 def test_grid_distances(gspark):
     """Deterministic check: directed grid distances are Manhattan."""
     pdf = grid(4, 5)
     edges = to_spark(gspark, pdf).repartition(1)
-    got = {
-        int(r["v"]): int(r["dist"])
-        for r in bfs_distances(gspark, edges, 0, 7).collect()
-    }
+    ds, _ = batch_distance_maps(
+        gspark, edges, queries_df(gspark, [(0, 19)]), 7, mode="single"
+    )
+    got = {int(r["v"]): int(r["dist"]) for r in ds.collect()}
     for r in range(4):
         for c in range(5):
             assert got[r * 5 + c] == r + c
@@ -113,9 +102,9 @@ def test_per_query_edges_bfs(gspark, gsetup):
         [e0, pd.DataFrame({"qid": [1], "src": [qs[1][0]], "dst": [qs[1][0]]})]
     )
     qdf = queries_df(gspark, [qs[0], qs[1]])
-    seeds = qdf.select("qid", qdf["s"].alias("v"))
     per_q = gspark.createDataFrame(both, schema="qid long, src long, dst long")
-    got = batch_bfs_distances(gspark, per_q, seeds, 3).collect()
+    ds, _ = batch_distance_maps(gspark, per_q, qdf, 3, mode="single")
+    got = ds.collect()
     by_qid = {}
     for r in got:
         by_qid.setdefault(int(r["qid"]), {})[int(r["v"])] = int(r["dist"])

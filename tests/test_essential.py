@@ -78,23 +78,6 @@ def test_backward_matches_definition(setup, spark_ev, qid):
     assert got == want_flat
 
 
-def test_pandas_impl_equals_relational(gspark, setup, spark_ev):
-    pdf, adj, edges, qs, q = setup
-    evf_rel, _ = spark_ev
-    pin = DFPin()
-    evf_pd = ev_to_dict(
-        propagate(gspark, edges, forward_roles(q), K, impl="pandas", pin=pin)
-    )
-    pin.release()
-    assert evf_pd == evf_rel
-
-
-def test_unknown_impl_rejected(gspark, setup):
-    pdf, adj, edges, qs, q = setup
-    with pytest.raises(ValueError):
-        propagate(gspark, edges, forward_roles(q), K, impl="nope")
-
-
 def test_pruned_entries_subset_with_equal_values(gspark, setup, spark_ev):
     """Forward-looking pruning drops entries, never changes kept values."""
     pdf, adj, edges, qs, q = setup

@@ -92,7 +92,6 @@ ABLATIONS = [
     dict(prune=False),
     dict(distance_mode="single"),
     dict(distance_mode="adaptive"),
-    dict(impl="pandas"),
     dict(order=False),
     dict(distributed=True),
 ]
@@ -114,7 +113,7 @@ def ablation_setup(gspark):
     "opts", ABLATIONS, ids=[str(sorted(a.items())) for a in ABLATIONS]
 )
 def test_ablations_do_not_change_answers(gspark, ablation_setup, opts):
-    """Pruning/distance-mode/impl/ordering/distribution are pure optimisations."""
+    """Pruning/distance-mode/ordering/distribution are pure optimisations."""
     pdf, edges, k, qs, base = ablation_setup
     got = eve_spg_batch(gspark, edges, qs, k, **opts)
     for b, g in zip(base, got):

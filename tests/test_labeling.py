@@ -3,7 +3,7 @@ import pytest
 
 from repro.baselines import bruteforce as bf
 from repro.core.essential import backward_roles, forward_roles, propagate
-from repro.core.labeling import label_edges, upper_bound_graph
+from repro.core.labeling import label_edges
 from repro.core.reference import bfs_dist, ev_tables, label_edge
 from repro.graphs.bfs import batch_distance_maps, queries_df
 from repro.graphs.generators import random_digraph, to_spark
@@ -73,20 +73,6 @@ def test_definite_in_truth_and_upper_superset(labeled, qid):
              if qq == qid and lab >= 1}
     assert definite <= truth
     assert upper >= truth
-
-
-def test_upper_bound_graph_filter(gspark, labeled):
-    import pandas as pd
-
-    pdf, adj, qs, labels = labeled
-    rows = [(q, u, v, lab) for (q, u, v), lab in labels.items()]
-    df = gspark.createDataFrame(
-        pd.DataFrame(rows, columns=["qid", "src", "dst", "label"]),
-        schema="qid long, src long, dst long, label int",
-    )
-    kept = upper_bound_graph(df).collect()
-    assert all(r["label"] >= 1 for r in kept)
-    assert len(kept) == sum(1 for lab in labels.values() if lab >= 1)
 
 
 def test_small_k_has_no_undetermined(gspark, fig1_edges):

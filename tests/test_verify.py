@@ -11,7 +11,6 @@ from repro.core.verify import (
     departures_arrivals,
     search_orders,
     verify_kernel,
-    verify_undetermined,
 )
 from repro.graphs.generators import random_digraph
 from repro.graphs.model import adjacency
@@ -149,12 +148,11 @@ def test_batch_verify_driver_equals_distributed(gspark):
         assert drv[i] == set(undet) & truths[i]
 
 
-def test_verify_undetermined_single_wrapper(gspark):
-    adj, s, t, k = _random_case(3, k=6)
-    truth = bf.spg_edges(adj, s, t, k)
-    spg, upper, undet, definite = _upper_parts(adj, s, t, k)
-    got = verify_undetermined(gspark, upper, undet, s, t, k)
-    assert got == set(undet) & truth
+def test_undetermined_edge_touching_s_rejected(gspark):
+    """Labeling never leaves an edge at s undetermined; such input is an error."""
+    spgu = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
+    with pytest.raises(ValueError, match="touches s or t"):
+        batch_verify(gspark, {0: (spgu, [(0, 1)], 0, 5)}, 6, distributed=False)
 
 
 def test_k_below_5_returns_empty(gspark):
