@@ -18,6 +18,25 @@ from repro.graphs.bfs import batch_distance_maps
 from repro.spark_util import no_pin
 
 
+def gkst_edges(
+    edges: DataFrame, dist_s: DataFrame, dist_t: DataFrame, k: int
+) -> DataFrame:
+    """Edges with ``Δ(s,u) + 1 + Δ(v,t) ≤ k`` per query: ``(qid, src, dst)``.
+
+    ``dist_s``/``dist_t`` are ``(qid, v, dist)`` distance maps; ``edges`` is
+    a shared ``(src, dst)`` table or a per-query ``(qid, src, dst)`` table.
+    """
+    ds = dist_s.select("qid", F.col("v").alias("src"), F.col("dist").alias("ds"))
+    dt = dist_t.select("qid", F.col("v").alias("dst"), F.col("dist").alias("dt"))
+    src_keys = ["qid", "src"] if "qid" in edges.columns else ["src"]
+    return (
+        edges.join(F.broadcast(ds), src_keys)
+        .join(F.broadcast(dt), ["qid", "dst"])
+        .where(F.col("ds") + 1 + F.col("dt") <= k)
+        .select("qid", "src", "dst")
+    )
+
+
 def batch_gkst(
     spark: SparkSession,
     edges: DataFrame,
@@ -34,16 +53,4 @@ def batch_gkst(
     """
     mode = "adaptive" if adaptive else "single"
     dist_s, dist_t = batch_distance_maps(spark, edges, queries, k, mode=mode, pin=pin)
-    ds = dist_s.select("qid", F.col("v").alias("src"), F.col("dist").alias("ds"))
-    dt = dist_t.select(
-        F.col("qid").alias("tqid"), F.col("v").alias("dst"), F.col("dist").alias("dt")
-    )
-    return (
-        edges.join(F.broadcast(ds), "src")
-        .join(
-            F.broadcast(dt),
-            (F.col("qid") == F.col("tqid")) & (edges["dst"] == dt["dst"]),
-        )
-        .where(F.col("ds") + 1 + F.col("dt") <= k)
-        .select("qid", "src", edges["dst"].alias("dst"))
-    )
+    return gkst_edges(edges, dist_s, dist_t, k)

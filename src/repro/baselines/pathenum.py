@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.baselines.enumeration import batch_enumerate_paths, batch_join_paths
+from repro.baselines.khsq import gkst_edges
 from repro.graphs.bfs import batch_distance_maps
 from repro.spark_util import no_pin
 
@@ -55,30 +55,7 @@ def build_index(
     dist_s, dist_t = batch_distance_maps(
         spark, edges, queries, k, mode="single", pin=pin
     )
-    ds = dist_s.select(
-        F.col("qid").alias("sqid"), F.col("v").alias("ssrc"), F.col("dist").alias("ds")
-    )
-    dt = dist_t.select(
-        F.col("qid").alias("tqid"), F.col("v").alias("tdst"), F.col("dist").alias("dt")
-    )
-    per_query = "qid" in edges.columns
-    left = edges.join(
-        F.broadcast(ds),
-        (edges["src"] == ds["ssrc"])
-        & ((edges["qid"] == ds["sqid"]) if per_query else F.lit(True)),
-    )
-    cand = pin(
-        left.join(
-            F.broadcast(dt),
-            (F.col("sqid") == F.col("tqid")) & (edges["dst"] == dt["tdst"]),
-        )
-        .where(F.col("ds") + 1 + F.col("dt") <= k)
-        .select(
-            F.col("sqid").alias("qid"),
-            edges["src"].alias("src"),
-            edges["dst"].alias("dst"),
-        )
-    )
+    cand = pin(gkst_edges(edges, dist_s, dist_t, k))
     stats = cand.groupBy("qid", "src").count().groupBy().avg("count").collect()
     avg_deg = float(stats[0][0] or 0.0) if stats and stats[0][0] is not None else 0.0
     return PathEnumIndex(dist_s, dist_t, cand, avg_deg)

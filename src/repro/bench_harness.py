@@ -30,7 +30,7 @@ from repro.graphs.bfs import queries_df
 from repro.graphs.datasets import dataset_edges_pdf
 from repro.graphs.generators import to_spark
 from repro.graphs.queries import random_queries
-from repro.spark_util import DFPin, tune_runtime  # noqa: F401  (tune_runtime used in make_session)
+from repro.spark_util import DFPin, tune_runtime
 
 Edge = Tuple[int, int]
 
@@ -144,9 +144,8 @@ def enumerate_paths(
     if algo == "join":
         return batch_join_paths(spark, edges, q, k, pin=pin, max_rows=max_rows)
     if algo == "naive":
-        dist_t = None
         return batch_enumerate_paths(
-            spark, edges, q, k, mode="naive", dist_t=dist_t, pin=pin, max_rows=max_rows
+            spark, edges, q, k, mode="naive", pin=pin, max_rows=max_rows
         )
     raise ValueError(f"unknown enumeration algo {algo!r}")
 

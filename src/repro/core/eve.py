@@ -6,9 +6,10 @@ constraint ``k`` through a single shared dataflow (see
 :mod:`repro.graphs.bfs` for why batching is the natural dataflow
 formulation of the paper's 1000-query evaluation protocol).
 
-Phases 1–2 are pure Catalyst dataflow; phase 3 is the mapInPandas/driver
-DFS kernel (see :mod:`repro.core.verify`). For ``k ≤ 4`` the upper-bound
-graph *is* the answer (Theorem 4.8) and phase 3 is skipped.
+Phases 1–2 are pure Catalyst dataflow; phase 3 is the DFS kernel, run on
+the driver over the collected upper-bound graph (see
+:mod:`repro.core.verify`). For ``k ≤ 4`` the upper-bound graph *is* the
+answer (Theorem 4.8) and phase 3 is skipped.
 """
 from __future__ import annotations
 
@@ -66,7 +67,6 @@ def eve_spg_batch(
     distance_mode: str = "bidirectional",
     prune: bool = True,
     order: bool = True,
-    distributed: bool | None = None,
     time_phases: bool = False,
 ) -> List[EveResult]:
     """Generate SPG_k(s,t) for every query in the batch with EVE.
@@ -78,6 +78,8 @@ def eve_spg_batch(
     timing is individually meaningful (otherwise phases 1–2 are fused lazily
     and timed together at the labeling collect).
     """
+    if k < 1:
+        raise ValueError(f"hop constraint k must be >= 1, got {k}")
     for s, t in query_pairs:
         if s == t:
             raise ValueError("query requires s != t")
@@ -135,9 +137,7 @@ def eve_spg_batch(
             )
             for qid in definite
         }
-        confirmed = batch_verify(
-            spark, per_query, k, order=order, distributed=distributed
-        )
+        confirmed = batch_verify(spark, per_query, k, order=order)
         for qid in definite:
             spg[qid] = definite[qid] | confirmed.get(qid, set())
     timings["verification"] = time.perf_counter() - t0

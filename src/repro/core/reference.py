@@ -2,7 +2,7 @@
 
 A faithful, dictionary-based mirror of the Spark dataflow in
 :mod:`repro.core.essential` / :mod:`repro.core.labeling`, reusing the very
-same verification kernel (:func:`repro.core.verify.verify_kernel`). Used as
+same verification step (:func:`repro.core.verify.verify_query`). Used as
 a middle oracle: hypothesis/property tests hammer this implementation
 against the brute-force Definition 2.1 enumerator on hundreds of random
 graphs (cheap, no Spark), and the Spark tests then assert the dataflow
@@ -15,12 +15,7 @@ from collections import deque
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.baselines.bruteforce import Adj, reverse_adj
-from repro.core.verify import (
-    build_adjacency,
-    departures_arrivals,
-    search_orders,
-    verify_kernel,
-)
+from repro.core.verify import verify_query
 
 Edge = Tuple[int, int]
 
@@ -105,6 +100,8 @@ def reference_eve(
     order: bool = True,
 ):
     """Full EVE on the driver. Returns ``(spg, upper, definite, undetermined)``."""
+    if k < 1:
+        raise ValueError(f"hop constraint k must be >= 1, got {k}")
     radj = reverse_adj(adj)
     dist_s = bfs_dist(adj, s, k) if prune else None
     dist_t = bfs_dist(radj, t, k) if prune else None
@@ -121,17 +118,7 @@ def reference_eve(
         elif lab == 1:
             undetermined.add((u, v))
     upper = definite | undetermined
-
-    if k <= 4:
-        return set(upper), upper, definite, undetermined
-
-    spgu = sorted(upper)
-    D, A, in_d, out_a = departures_arrivals(spgu, s, t, k)
-    out_adj, in_adj = build_adjacency(spgu)
-    if order:
-        out_adj, in_adj = search_orders(out_adj, in_adj, D, A, in_d, out_a)
-    found = verify_kernel(
-        out_adj, in_adj, sorted(undetermined), D, A, in_d, out_a, k, s, t
+    spg = definite | verify_query(
+        sorted(upper), sorted(undetermined), s, t, k, order=order
     )
-    spg = definite | (found & undetermined)
     return spg, upper, definite, undetermined

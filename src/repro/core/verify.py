@@ -1,12 +1,10 @@
 """Verification of undetermined edges (§5, Algorithm 3).
 
-Phase 3 of EVE. Inputs are the *upper-bound graph* SPG^u (empirically tiny —
-Table 3 shows <0.05% redundancy vs. the answer, whose size is bounded by the
-query neighborhood), so SPG^u is collected and broadcast, and the per-edge
-DFS — whose state is a shared vertex stack, not expressible as a Catalyst
-aggregation — runs as a ``mapInPandas`` physical operator over the
-partitioned set of undetermined edges (driver-side for tiny inputs). See
-DESIGN.md "Layering".
+Phase 3 of EVE. Its input is the *upper-bound graph* SPG^u, which
+``eve_spg_batch`` has already collected to the driver. The per-edge DFS —
+whose state is a shared vertex stack, not expressible as a Catalyst
+aggregation — runs there, one query at a time, and starts no Spark job.
+See DESIGN.md "Layering" for the measurements behind this choice.
 
 Components:
 
@@ -22,6 +20,8 @@ Components:
   neighbors outside the path (Theorem 5.6). Every edge of a successful
   witness path is added to the result (Algorithm 3 line 27), and already
   confirmed undetermined edges are skipped.
+- :func:`verify_query` — the three above for one query;
+  :func:`batch_verify` runs it over a batch.
 """
 from __future__ import annotations
 
@@ -29,16 +29,9 @@ import math
 from collections import deque
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 
 Edge = Tuple[int, int]
-
-#: Undetermined edges (summed over a batch) from which ``batch_verify``
-#: auto-selects the distributed ``mapInPandas`` path.
-MIN_DISTRIBUTED = 256
-#: Partitions of the undetermined-edge table on the distributed path.
-VERIFY_PARTITIONS = 16
 
 
 def _multi_source_bfs(
@@ -202,15 +195,29 @@ def verify_kernel(
     return confirmed
 
 
-def _prepare_structures(
-    spgu_edges: Sequence[Edge], s: int, t: int, k: int, order: bool
-):
-    """(out_adj, in_adj, D, A, In_D, Out_A) ready for the kernel."""
+def verify_query(
+    spgu_edges: Sequence[Edge],
+    undetermined: Sequence[Edge],
+    s: int,
+    t: int,
+    k: int,
+    *,
+    order: bool = True,
+) -> Set[Edge]:
+    """Phase 3 for one query: the undetermined edges that are in SPG_k(s,t).
+
+    Builds the query's search structures from SPG^u (departures/arrivals,
+    adjacency, §5.3 orders when ``order``), runs :func:`verify_kernel` and
+    keeps the confirmed edges that were undetermined.
+    """
+    if k < 5 or not undetermined:
+        return set()
     D, A, in_d, out_a = departures_arrivals(spgu_edges, s, t, k)
     out_adj, in_adj = build_adjacency(spgu_edges)
     if order:
         out_adj, in_adj = search_orders(out_adj, in_adj, D, A, in_d, out_a)
-    return out_adj, in_adj, D, A, in_d, out_a
+    found = verify_kernel(out_adj, in_adj, undetermined, D, A, in_d, out_a, k, s, t)
+    return found & set(undetermined)
 
 
 def batch_verify(
@@ -219,78 +226,17 @@ def batch_verify(
     k: int,
     *,
     order: bool = True,
-    distributed: bool | None = None,
 ) -> Dict[int, Set[Edge]]:
-    """Confirm undetermined edges for a batch of queries.
+    """Confirm undetermined edges for a batch of queries, one query at a time.
 
     ``per_query`` maps ``qid → (spgu_edges, undetermined, s, t)``. Returns
-    ``qid → confirmed undetermined edges``. ``distributed=None``
-    auto-selects: driver-side kernel when the total undetermined count is
-    below :data:`MIN_DISTRIBUTED`, otherwise a ``mapInPandas`` over
-    ``(qid, src, dst)`` rows with all per-query search structures broadcast —
-    parallelism comes from both the queries and the partitioning of each
-    query's undetermined set. Both paths run the identical kernel.
+    ``qid → confirmed undetermined edges``. Each query's search structures
+    are dropped before the next query's are built.
     """
-    work = {
-        qid: (spgu, und, s, t)
+    # ``spark`` is unused (the kernel runs on the driver); it stays in the
+    # signature because perfbench's layer trace reads ``per_query`` as the
+    # second positional argument of this function.
+    return {
+        qid: verify_query(spgu, und, s, t, k, order=order)
         for qid, (spgu, und, s, t) in per_query.items()
-        if und
     }
-    if k < 5 or not work:
-        return {qid: set() for qid in per_query}
-    total_undet = sum(len(und) for _, und, _, _ in work.values())
-    if distributed is None:
-        distributed = total_undet >= MIN_DISTRIBUTED
-
-    structures = {
-        qid: _prepare_structures(spgu, s, t, k, order)
-        for qid, (spgu, und, s, t) in work.items()
-    }
-    out: Dict[int, Set[Edge]] = {qid: set() for qid in per_query}
-
-    if not distributed:
-        for qid, (spgu, und, s, t) in work.items():
-            o_adj, i_adj, D, A, in_d, out_a = structures[qid]
-            found = verify_kernel(o_adj, i_adj, und, D, A, in_d, out_a, k, s, t)
-            out[qid] = found & set(und)
-        return out
-
-    bc = spark.sparkContext.broadcast(
-        (structures, {qid: (s, t) for qid, (_, _, s, t) in work.items()}, k)
-    )
-
-    def run(batches: Iterable[pd.DataFrame]):
-        struct, st_map, kk = bc.value
-        for pdf in batches:
-            frames = []
-            for qid, grp in pdf.groupby("qid"):
-                o_adj, i_adj, D, A, in_d, out_a = struct[int(qid)]
-                ss, tt = st_map[int(qid)]
-                und = list(zip(grp["src"].astype(int), grp["dst"].astype(int)))
-                got = verify_kernel(
-                    o_adj, i_adj, und, D, A, in_d, out_a, kk, ss, tt
-                )
-                got &= set(und)
-                if got:
-                    frames.append(
-                        pd.DataFrame(
-                            [(qid, u, v) for u, v in sorted(got)],
-                            columns=["qid", "src", "dst"],
-                        )
-                    )
-            if frames:
-                yield pd.concat(frames)
-
-    rows = [
-        (qid, u, v)
-        for qid, (_, und, _, _) in sorted(work.items())
-        for u, v in und
-    ]
-    und_df = spark.createDataFrame(
-        pd.DataFrame(rows, columns=["qid", "src", "dst"]),
-        schema="qid long, src long, dst long",
-    ).repartition(min(VERIFY_PARTITIONS, max(1, len(rows))))
-    res = und_df.mapInPandas(run, schema="qid long, src long, dst long").distinct()
-    for r in res.collect():
-        out[int(r["qid"])].add((int(r["src"]), int(r["dst"])))
-    return out

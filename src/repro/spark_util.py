@@ -15,8 +15,6 @@ when the RDDs are garbage-collected after :meth:`DFPin.release`.
 from __future__ import annotations
 
 import os
-import shlex
-from pathlib import Path
 
 from pyspark.sql import DataFrame, SparkSession
 
@@ -27,16 +25,12 @@ def ensure_session_env() -> None:
     Must run before the first SparkSession is created. Adds shuffle-local
     directories on tmpfs (the sandbox's overlay filesystem makes shuffle
     file I/O disproportionately slow), disables the console progress bar
-    (which floods captured test output), and puts the directory ``repro``
-    was imported from on the Python workers' path, so that a script that
-    only extended its own ``sys.path`` (``python jobs/…``) can still run
-    Python UDFs. Safe to call repeatedly; respects an existing setting.
+    (which floods captured test output). Safe to call repeatedly; respects
+    an existing setting.
     """
-    src = Path(__file__).resolve().parents[1]
     extra = (
         "--conf spark.local.dir=/dev/shm/spark-local "
         "--conf spark.ui.showConsoleProgress=false "
-        f"--conf {shlex.quote(f'spark.executorEnv.PYTHONPATH={src}')} "
     )
     args = os.environ.get("PYSPARK_SUBMIT_ARGS")
     if args is None:

@@ -93,7 +93,6 @@ ABLATIONS = [
     dict(distance_mode="single"),
     dict(distance_mode="adaptive"),
     dict(order=False),
-    dict(distributed=True),
 ]
 
 
@@ -113,7 +112,7 @@ def ablation_setup(gspark):
     "opts", ABLATIONS, ids=[str(sorted(a.items())) for a in ABLATIONS]
 )
 def test_ablations_do_not_change_answers(gspark, ablation_setup, opts):
-    """Pruning/distance-mode/ordering/distribution are pure optimisations."""
+    """Pruning/distance-mode/ordering are pure optimisations."""
     pdf, edges, k, qs, base = ablation_setup
     got = eve_spg_batch(gspark, edges, qs, k, **opts)
     for b, g in zip(base, got):
@@ -134,3 +133,9 @@ def test_ablation_base_matches_truth(ablation_setup):
 def test_rejects_s_equals_t(gspark, fig1_edges):
     with pytest.raises(ValueError):
         eve_spg_batch(gspark, fig1_edges, [(0, 0)], 4)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_rejects_k_below_1(gspark, fig1_edges, k):
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        eve_spg_batch(gspark, fig1_edges, [(0, 1)], k)

@@ -123,3 +123,9 @@ def test_bfs_dist_matches_networkless_reference(n, depth):
                     dist[v] = cand
     want = {v: d for v, d in dist.items() if d is not None and d <= depth}
     assert got == want
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_rejects_k_below_1(k):
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        reference_eve({0: [1]}, 0, 1, k)
