@@ -17,6 +17,7 @@ def main() -> None:
         run_eve,
         run_spg_via_enumeration,
     )
+    from repro.core.reference import PHASES
 
     spark = make_session("figure8")
     datasets = args.datasets or DEFAULT_DATASETS
@@ -31,7 +32,7 @@ def main() -> None:
                 )
             except RuntimeError:
                 continue
-            eve_res, t_eve = run_eve(spark, w, time_phases=True)
+            eve_res, t_eve = run_eve(spark, w)
             truth = {i: r.spg for i, r in enumerate(eve_res)}
             cells = [name, k, round(t_eve, 1)]
             for algo in ("join", "pathenum"):
@@ -43,11 +44,9 @@ def main() -> None:
                 else:
                     assert spg == truth, f"{algo} SPG mismatch on {name} k={k}"
                     cells.append(round(t, 1))
-            ph = eve_res[0].timings
+            # Each query's phases, summed over the batch (worker seconds).
             cells.append(
-                "/".join(f"{ph.get(p, 0):.1f}"
-                         for p in ("distances", "propagation", "labeling",
-                                   "verification"))
+                "/".join(f"{sum(r.timings[p] for r in eve_res):.2f}" for p in PHASES)
             )
             rows.append(cells)
             print(f"[figure8] {cells}", flush=True)

@@ -1,8 +1,10 @@
 """EVE — the paper's primary contribution.
 
-- :mod:`repro.core.essential` — §3: propagation for essential vertices.
-- :mod:`repro.core.labeling` — §4: edge labeling / upper-bound graph.
+- :mod:`repro.core.reference` — §3–§4 for one query: BFS distances,
+  essential-vertex propagation (Eq. 4), edge labeling (Alg. 2), and the
+  whole per-query pipeline with per-phase timings.
 - :mod:`repro.core.verify` — §5: departures/arrivals + DFS verification.
-- :mod:`repro.core.eve` — end-to-end EVE pipeline with per-phase timings.
+- :mod:`repro.core.eve` — runs the per-query pipeline over a batch of
+  queries in Spark's Python workers.
 - :mod:`repro.core.stats` — §6.6 coverage/redundant ratios.
 """

@@ -1,33 +1,59 @@
-"""End-to-end EVE (§2.3 overview): distances → propagation → labeling →
-verification, batched over queries.
+"""End-to-end EVE (§2.3 overview), parallelised over queries.
 
-``eve_spg_batch`` runs a whole batch of ``(s, t)`` queries for one hop
-constraint ``k`` through a single shared dataflow (see
-:mod:`repro.graphs.bfs` for why batching is the natural dataflow
-formulation of the paper's 1000-query evaluation protocol).
+EVE answers one query on one machine in ``O(k²|E|)`` (§3–§4), and the
+paper's protocol is a batch of independent random queries (§6.1). So
+``eve_spg_batch`` runs the per-query pipeline of
+:func:`repro.core.reference.reference_eve` — BFS distances → Eq. (4)
+propagation → Algorithm 2 labeling → Algorithm 3 verification — once per
+query, inside Spark's Python workers:
 
-Phases 1–2 are pure Catalyst dataflow; phase 3 is the DFS kernel, run on
-the driver over the collected upper-bound graph (see
-:mod:`repro.core.verify`). For ``k ≤ 4`` the upper-bound graph *is* the
-answer (Theorem 4.8) and phase 3 is skipped.
+1. collect the ``(src, dst)`` edges once per call and broadcast their
+   adjacency dict;
+2. spread the query ids ``0..Q-1`` over ``min(Q, defaultParallelism)``
+   partitions (``spark.range``; the ``(s, t)`` pairs travel with the
+   function);
+3. one ``mapInPandas`` answers each partition's queries and returns a row
+   per upper-bound edge, which one Arrow ``toPandas`` brings back.
+
+A batch is two Spark jobs (the edge collect and the answer collect). The
+graph must fit in one Python worker; see DESIGN.md "Layering".
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from functools import partial
+from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
 import pandas as pd
+from pyspark import Broadcast
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.essential import backward_roles, forward_roles, propagate
-from repro.core.labeling import label_edges
-from repro.core.verify import batch_verify
-from repro.graphs.bfs import batch_distance_maps, queries_df
-from repro.graphs.model import reverse_edges
-from repro.spark_util import DFPin
+from repro import spark_util
+from repro.core.reference import PHASES, bfs_dist, ev_tables, label_edge, reference_eve
+from repro.core.verify import verify_query
+from repro.graphs.model import adjacency
 
 Edge = Tuple[int, int]
+
+#: Rows ``mapInPandas`` returns. Per query: one row with label 0, ``src = s``,
+#: ``dst = t`` and the query's phase times; then one row per upper-bound edge
+#: with its Algorithm 2 label (1 undetermined, 2 definite), whether the edge
+#: is in SPG_k (``confirmed``) and null times.
+RESULT_SCHEMA = ", ".join(
+    ["qid long", "src long", "dst long", "label int", "confirmed boolean"]
+    + [f"{p} double" for p in PHASES]
+)
+
+# perfbench/layers.py swaps these five names for tracing wrappers while it
+# traces a batch. The phases run inside Python workers, which the wrappers do
+# not reach, so its per-phase counts read 0. Each name is bound to the
+# function that now does its phase. The benchmark change of ROADMAP item 1
+# reads the trace from ``EveResult`` instead and removes this block.
+batch_distance_maps = bfs_dist
+propagate = ev_tables
+label_edges = label_edge
+batch_verify = verify_query
+DFPin = spark_util.DFPin
 
 
 @dataclass
@@ -44,8 +70,8 @@ class EveResult:
     #: definite (label 2) and undetermined (label 1) edges
     definite: Set[Edge]
     undetermined: Set[Edge]
-    #: wall-clock seconds per phase — for batched runs these are the *batch*
-    #: phase timings (shared by every result of the batch)
+    #: wall-clock seconds of this query's phases, one key per phase in
+    #: :data:`repro.core.reference.PHASES`
     timings: Dict[str, float] = field(default_factory=dict)
 
     def spg_df(self, spark: SparkSession) -> DataFrame:
@@ -58,101 +84,89 @@ class EveResult:
         return spark.createDataFrame(pdf, schema="src long, dst long")
 
 
+def _answer_queries(
+    graph: Broadcast,
+    query_pairs: List[Tuple[int, int]],
+    k: int,
+    prune: bool,
+    order: bool,
+    batches: Iterator[pd.DataFrame],
+) -> Iterator[pd.DataFrame]:
+    """``mapInPandas`` body: :data:`RESULT_SCHEMA` rows for each ``qid``."""
+    adj = graph.value
+    no_times = (None,) * len(PHASES)
+    for pdf in batches:
+        rows = []
+        for qid in pdf["qid"].tolist():
+            s, t = query_pairs[qid]
+            spg, upper, definite, _, timings = reference_eve(
+                adj, s, t, k, prune=prune, order=order
+            )
+            rows.append((qid, s, t, 0, False, *(timings[p] for p in PHASES)))
+            rows.extend(
+                (qid, u, v, 2 if (u, v) in definite else 1, (u, v) in spg, *no_times)
+                for u, v in upper
+            )
+        yield pd.DataFrame(
+            rows, columns=["qid", "src", "dst", "label", "confirmed", *PHASES]
+        )
+
+
 def eve_spg_batch(
     spark: SparkSession,
     edges: DataFrame,
     query_pairs: Sequence[Tuple[int, int]],
     k: int,
     *,
-    distance_mode: str = "bidirectional",
     prune: bool = True,
     order: bool = True,
     time_phases: bool = False,
 ) -> List[EveResult]:
     """Generate SPG_k(s,t) for every query in the batch with EVE.
 
-    Options mirror the paper's ablations (Fig. 11): ``distance_mode``
-    ∈ {single, bidirectional, adaptive}; ``prune`` toggles forward-looking
-    pruning; ``order`` toggles the §5.3 search-ordering strategy.
-    ``time_phases`` forces materialisation between phases so each phase's
-    timing is individually meaningful (otherwise phases 1–2 are fused lazily
-    and timed together at the labeling collect).
+    ``edges`` is one graph shared by every query: ``src`` and ``dst``
+    columns, duplicate rows and self-loops allowed. Options mirror the
+    paper's ablations (Fig. 11): ``prune`` toggles forward-looking pruning,
+    ``order`` the §5.3 search-ordering strategy. Every result's ``timings``
+    holds its own query's phase times whatever ``time_phases`` says; the
+    option does nothing and stays only because the benchmark's traced run
+    passes it.
     """
     if k < 1:
         raise ValueError(f"hop constraint k must be >= 1, got {k}")
-    for s, t in query_pairs:
-        if s == t:
-            raise ValueError("query requires s != t")
-    timings: Dict[str, float] = {}
-    pin = DFPin()
-    queries = queries_df(spark, query_pairs)
+    if "qid" in edges.columns:
+        raise ValueError("edges must be one (src, dst) graph, not per-query edge sets")
+    pairs = [(int(s), int(t)) for s, t in query_pairs]
+    if any(s == t for s, t in pairs):
+        raise ValueError("query requires s != t")
+    sc = spark.sparkContext
+    graph = sc.broadcast(adjacency(edges.select("src", "dst").toPandas()))
+    try:
+        qids = spark.range(
+            0, len(pairs), 1, max(1, min(len(pairs), sc.defaultParallelism))
+        ).toDF("qid")
+        rows = qids.mapInPandas(
+            partial(_answer_queries, graph, pairs, k, prune, order), RESULT_SCHEMA
+        ).toPandas()
+    finally:
+        graph.destroy()
 
-    t0 = time.perf_counter()
-    dist_s, dist_t = batch_distance_maps(
-        spark, edges, queries, k, mode=distance_mode, pin=pin
-    )
-    if time_phases:
-        dist_s.count(), dist_t.count()
-        timings["distances"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-
-    rev = reverse_edges(edges)
-    evf = propagate(
-        spark, edges, forward_roles(queries), k,
-        dist_prune=dist_t if prune else None, pin=pin,
-    )
-    evb = propagate(
-        spark, rev, backward_roles(queries), k,
-        dist_prune=dist_s if prune else None, pin=pin,
-    )
-    if time_phases:
-        evf, evb = pin(evf), pin(evb)
-        evf.count(), evb.count()
-        timings["propagation"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-
-    labels = label_edges(spark, edges, evf, evb, queries, k)
-    lab_rows = labels.where("label >= 1").collect()
-    definite: Dict[int, Set[Edge]] = {i: set() for i in range(len(query_pairs))}
-    undetermined: Dict[int, Set[Edge]] = {i: set() for i in range(len(query_pairs))}
-    for r in lab_rows:
-        e = (int(r["src"]), int(r["dst"]))
-        (definite if r["label"] == 2 else undetermined)[int(r["qid"])].add(e)
-    timings["upper_bound" if not time_phases else "labeling"] = (
-        time.perf_counter() - t0
-    )
-
-    t0 = time.perf_counter()
-    spg: Dict[int, Set[Edge]] = {}
-    if k <= 4:
-        for qid in definite:
-            spg[qid] = definite[qid] | undetermined[qid]
-    else:
-        per_query = {
-            qid: (
-                sorted(definite[qid] | undetermined[qid]),
-                sorted(undetermined[qid]),
-                query_pairs[qid][0],
-                query_pairs[qid][1],
-            )
-            for qid in definite
-        }
-        confirmed = batch_verify(spark, per_query, k, order=order)
-        for qid in definite:
-            spg[qid] = definite[qid] | confirmed.get(qid, set())
-    timings["verification"] = time.perf_counter() - t0
-    pin.release()
-
-    return [
-        EveResult(
-            s=query_pairs[qid][0],
-            t=query_pairs[qid][1],
-            k=k,
-            spg=spg[qid],
-            upper=definite[qid] | undetermined[qid],
-            definite=definite[qid],
-            undetermined=undetermined[qid],
-            timings=dict(timings),
-        )
-        for qid in range(len(query_pairs))
+    results = [
+        EveResult(s=s, t=t, k=k, spg=set(), upper=set(), definite=set(),
+                  undetermined=set())
+        for s, t in pairs
     ]
+    # The queries of a batch share most of their edges, and callers keep many
+    # results: every result refers to one tuple per distinct edge.
+    edge_tuples: Dict[Edge, Edge] = {}
+    for qid, u, v, label, confirmed, *times in rows.itertuples(index=False):
+        res = results[qid]
+        if label == 0:
+            res.timings = dict(zip(PHASES, times))
+            continue
+        e = edge_tuples.setdefault((u, v), (u, v))
+        res.upper.add(e)
+        (res.definite if label == 2 else res.undetermined).add(e)
+        if confirmed:
+            res.spg.add(e)
+    return results

@@ -1,16 +1,18 @@
-"""Pure-Python reference implementation of EVE (driver-side).
+"""EVE for one query in plain Python: the per-query pipeline.
 
-A faithful, dictionary-based mirror of the Spark dataflow in
-:mod:`repro.core.essential` / :mod:`repro.core.labeling`, reusing the very
-same verification step (:func:`repro.core.verify.verify_query`). Used as
-a middle oracle: hypothesis/property tests hammer this implementation
-against the brute-force Definition 2.1 enumerator on hundreds of random
-graphs (cheap, no Spark), and the Spark tests then assert the dataflow
-produces identical EV tables / labels / answers.
+:func:`reference_eve` runs the four phases over an adjacency dict — bounded
+BFS distances, the closure form of Eq. (4) (:func:`ev_tables`), Algorithm 2
+(:func:`label_edge`) and Algorithm 3 (:func:`repro.core.verify.verify_query`)
+— and times each. It is both the engine's kernel, which
+:func:`repro.core.eve.eve_spg_batch` runs once per query inside Spark's
+Python workers, and a test oracle: hypothesis tests check it against the
+brute-force Definition 2.1 / 3.1 enumerators on hundreds of random graphs
+without Spark.
 """
 from __future__ import annotations
 
 import math
+import time
 from collections import deque
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -19,9 +21,12 @@ from repro.core.verify import verify_query
 
 Edge = Tuple[int, int]
 
+#: The phases :func:`reference_eve` times, in the order they run.
+PHASES = ("distances", "propagation", "labeling", "verification")
+
 
 def bfs_dist(adj: Adj, source: int, max_depth: int) -> Dict[int, int]:
-    """Bounded BFS distances (driver-side)."""
+    """Bounded BFS distances."""
     dist = {source: 0}
     dq = deque([source])
     while dq:
@@ -99,14 +104,21 @@ def reference_eve(
     prune: bool = True,
     order: bool = True,
 ):
-    """Full EVE on the driver. Returns ``(spg, upper, definite, undetermined)``."""
+    """Full EVE for one query.
+
+    Returns ``(spg, upper, definite, undetermined, timings)``: the four edge
+    sets and ``{phase: wall seconds}`` for every phase in :data:`PHASES`.
+    """
     if k < 1:
         raise ValueError(f"hop constraint k must be >= 1, got {k}")
+    marks = [time.perf_counter()]
     radj = reverse_adj(adj)
     dist_s = bfs_dist(adj, s, k) if prune else None
     dist_t = bfs_dist(radj, t, k) if prune else None
+    marks.append(time.perf_counter())
     evf = ev_tables(adj, s, t, k, dist_prune=dist_t)
     evb = ev_tables(radj, t, s, k, dist_prune=dist_s)
+    marks.append(time.perf_counter())
 
     edges = [(u, v) for u, vs in adj.items() for v in vs]
     definite: Set[Edge] = set()
@@ -118,7 +130,10 @@ def reference_eve(
         elif lab == 1:
             undetermined.add((u, v))
     upper = definite | undetermined
+    marks.append(time.perf_counter())
     spg = definite | verify_query(
         sorted(upper), sorted(undetermined), s, t, k, order=order
     )
-    return spg, upper, definite, undetermined
+    marks.append(time.perf_counter())
+    timings = {p: b - a for p, a, b in zip(PHASES, marks, marks[1:])}
+    return spg, upper, definite, undetermined, timings

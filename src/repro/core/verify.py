@@ -1,10 +1,9 @@
 """Verification of undetermined edges (§5, Algorithm 3).
 
-Phase 3 of EVE. Its input is the *upper-bound graph* SPG^u, which
-``eve_spg_batch`` has already collected to the driver. The per-edge DFS —
-whose state is a shared vertex stack, not expressible as a Catalyst
-aggregation — runs there, one query at a time, and starts no Spark job.
-See DESIGN.md "Layering" for the measurements behind this choice.
+Phase 3 of EVE. Its input is one query's *upper-bound graph* SPG^u, the
+label ≥ 1 edges of Algorithm 2; :func:`repro.core.reference.reference_eve`
+calls it once per query, inside a Python worker when the query comes through
+``eve_spg_batch``.
 
 Components:
 
@@ -20,16 +19,13 @@ Components:
   neighbors outside the path (Theorem 5.6). Every edge of a successful
   witness path is added to the result (Algorithm 3 line 27), and already
   confirmed undetermined edges are skipped.
-- :func:`verify_query` — the three above for one query;
-  :func:`batch_verify` runs it over a batch.
+- :func:`verify_query` — the three above for one query.
 """
 from __future__ import annotations
 
 import math
 from collections import deque
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
-
-from pyspark.sql import SparkSession
 
 Edge = Tuple[int, int]
 
@@ -219,24 +215,3 @@ def verify_query(
     found = verify_kernel(out_adj, in_adj, undetermined, D, A, in_d, out_a, k, s, t)
     return found & set(undetermined)
 
-
-def batch_verify(
-    spark: SparkSession,
-    per_query: Dict[int, Tuple[Sequence[Edge], Sequence[Edge], int, int]],
-    k: int,
-    *,
-    order: bool = True,
-) -> Dict[int, Set[Edge]]:
-    """Confirm undetermined edges for a batch of queries, one query at a time.
-
-    ``per_query`` maps ``qid → (spgu_edges, undetermined, s, t)``. Returns
-    ``qid → confirmed undetermined edges``. Each query's search structures
-    are dropped before the next query's are built.
-    """
-    # ``spark`` is unused (the kernel runs on the driver); it stays in the
-    # signature because perfbench's layer trace reads ``per_query`` as the
-    # second positional argument of this function.
-    return {
-        qid: verify_query(spgu, und, s, t, k, order=order)
-        for qid, (spgu, und, s, t) in per_query.items()
-    }

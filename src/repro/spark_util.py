@@ -1,6 +1,6 @@
 """Spark helpers for iterative dataflow.
 
-Iterative algorithms (BFS levels, propagation layers) reference each
+Iterative algorithms (BFS levels, path-enumeration levels) reference each
 iteration's DataFrame more than once (next iteration + final union); left
 lazy, the *logical plan* re-expands the whole upstream chain at every
 reference, which is exponential in the number of iterations — Catalyst
@@ -15,6 +15,8 @@ when the RDDs are garbage-collected after :meth:`DFPin.release`.
 from __future__ import annotations
 
 import os
+import shlex
+from pathlib import Path
 
 from pyspark.sql import DataFrame, SparkSession
 
@@ -25,12 +27,17 @@ def ensure_session_env() -> None:
     Must run before the first SparkSession is created. Adds shuffle-local
     directories on tmpfs (the sandbox's overlay filesystem makes shuffle
     file I/O disproportionately slow), disables the console progress bar
-    (which floods captured test output). Safe to call repeatedly; respects
-    an existing setting.
+    (which floods captured test output), and puts the directory ``repro``
+    was imported from on the Python workers' path, so that a script that
+    only extended its own ``sys.path`` (``python jobs/…``) can run
+    ``eve_spg_batch``, whose queries run in Python workers. Safe to call
+    repeatedly; respects an existing setting.
     """
+    src = Path(__file__).resolve().parents[1]
     extra = (
         "--conf spark.local.dir=/dev/shm/spark-local "
         "--conf spark.ui.showConsoleProgress=false "
+        f"--conf {shlex.quote(f'spark.executorEnv.PYTHONPATH={src}')} "
     )
     args = os.environ.get("PYSPARK_SUBMIT_ARGS")
     if args is None:

@@ -7,12 +7,14 @@
 The heavy Spark batches are computed once per (graph, k) combo in the
 session-scoped ``eve_cases`` fixture; the tests here fan out per query.
 """
+import pandas as pd
 import pytest
 
 from repro import oracle
+from repro.baselines import bruteforce as bf
 from repro.core.eve import eve_spg_batch
-from repro.core.reference import reference_eve
-from repro.graphs.generators import random_digraph, to_spark
+from repro.core.reference import PHASES, reference_eve
+from repro.graphs.generators import FIG1_IDS, random_digraph, to_spark
 from repro.graphs.model import adjacency
 from repro.graphs.queries import random_queries
 
@@ -58,7 +60,7 @@ def test_matches_reference_implementation(eve_cases, name):
     """Spark dataflow ≡ pure-Python reference EVE (labels and answer)."""
     for c in _cases(eve_cases, name):
         adj = adjacency(c.pdf)
-        spg, upper, definite, undet = reference_eve(adj, c.s, c.t, c.k)
+        spg, upper, definite, undet, _ = reference_eve(adj, c.s, c.t, c.k)
         assert c.result.spg == spg
         assert c.result.upper == upper
         assert c.result.definite == definite
@@ -90,8 +92,6 @@ def test_edges_of_spg_are_graph_edges(eve_cases, name):
 
 ABLATIONS = [
     dict(prune=False),
-    dict(distance_mode="single"),
-    dict(distance_mode="adaptive"),
     dict(order=False),
 ]
 
@@ -112,7 +112,7 @@ def ablation_setup(gspark):
     "opts", ABLATIONS, ids=[str(sorted(a.items())) for a in ABLATIONS]
 )
 def test_ablations_do_not_change_answers(gspark, ablation_setup, opts):
-    """Pruning/distance-mode/ordering are pure optimisations."""
+    """Pruning and ordering are pure optimisations."""
     pdf, edges, k, qs, base = ablation_setup
     got = eve_spg_batch(gspark, edges, qs, k, **opts)
     for b, g in zip(base, got):
@@ -122,8 +122,6 @@ def test_ablations_do_not_change_answers(gspark, ablation_setup, opts):
 
 
 def test_ablation_base_matches_truth(ablation_setup):
-    from repro.baselines import bruteforce as bf
-
     pdf, edges, k, qs, base = ablation_setup
     adj = adjacency(pdf)
     for (s, t), res in zip(qs, base):
@@ -139,3 +137,78 @@ def test_rejects_s_equals_t(gspark, fig1_edges):
 def test_rejects_k_below_1(gspark, fig1_edges, k):
     with pytest.raises(ValueError, match="k must be >= 1"):
         eve_spg_batch(gspark, fig1_edges, [(0, 1)], k)
+
+
+def test_rejects_per_query_edge_table(gspark, fig1_edges):
+    """A ``(qid, src, dst)`` table would be read as the union of its graphs."""
+    per_query = fig1_edges.selectExpr("0 AS qid", "src", "dst")
+    with pytest.raises(ValueError, match="not per-query edge sets"):
+        eve_spg_batch(gspark, per_query, [(FIG1_IDS["s"], FIG1_IDS["t"])], 5)
+
+
+@pytest.mark.parametrize("k", [4, 6])
+def test_timings_keys_do_not_depend_on_time_phases(gspark, fig1_edges, k):
+    """Every result times its own query's four phases, with or without
+    ``time_phases``."""
+    qs = [(FIG1_IDS["s"], FIG1_IDS["t"]), (FIG1_IDS["a"], FIG1_IDS["t"])]
+    for time_phases in (False, True):
+        for res in eve_spg_batch(gspark, fig1_edges, qs, k, time_phases=time_phases):
+            assert list(res.timings) == list(PHASES)
+            assert all(sec >= 0 for sec in res.timings.values())
+
+
+def test_batch_runs_in_two_spark_jobs(gspark, fig1_edges):
+    """One batch is the edge collect plus the answer collect, at any Q."""
+    sc = gspark.sparkContext
+    group = "test-eve-batch-jobs"
+    qs = [(FIG1_IDS["s"], FIG1_IDS["t"])] * 9
+    sc.setJobGroup(group, "one eve_spg_batch call")
+    try:
+        eve_spg_batch(gspark, fig1_edges, qs, 7)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    assert len(sc.statusTracker().getJobIdsForGroup(group)) <= 2
+
+
+# ---------------------------------------------------------------------------
+# The batch plumbing (qid ↔ row mapping, partitioning, odd inputs) against
+# brute force.
+# ---------------------------------------------------------------------------
+
+ABSENT = 10_000  # a vertex id the graph does not have
+SINK = 10_001  # has an out-edge only, so no query reaches it
+
+
+@pytest.fixture(scope="module")
+def plumbing_graph(gspark):
+    """A random graph plus self-loops, duplicate rows and a source-only vertex,
+    as an edge DataFrame that is neither deduplicated nor canonicalised."""
+    pdf = random_digraph("er", 30, 3, seed=4)
+    first = int(pdf["src"].iloc[0])
+    extra = pd.DataFrame(
+        [(v, v) for v in pdf["src"].iloc[:3]] + [(SINK, first)],
+        columns=["src", "dst"],
+    )
+    pdf = pd.concat([pdf, pdf.iloc[:5], extra], ignore_index=True)
+    return pdf, gspark.createDataFrame(pdf)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 7])
+def test_batch_plumbing_matches_bruteforce(gspark, plumbing_graph, k):
+    """Each answer of a batch larger than its partition count, with a
+    duplicate query, absent endpoints and an unreachable t, is its own
+    query's brute-force SPG."""
+    pdf, edges = plumbing_graph
+    adj = adjacency(pdf.drop_duplicates())
+    qs = random_queries(pdf, k, 2 * gspark.sparkContext.defaultParallelism + 1, seed=k)
+    s0 = qs[0][0]
+    qs += [qs[1], (ABSENT, s0), (s0, ABSENT), (s0, SINK), (SINK, s0)]
+    results = eve_spg_batch(gspark, edges, qs, k)
+    assert len(results) == len(qs)
+    for (s, t), res in zip(qs, results):
+        assert (res.s, res.t, res.k) == (s, t, k)
+        assert res.spg == bf.spg_edges(adj, s, t, k), (s, t)
+        assert res.definite <= res.spg <= res.upper
+    assert results[-5].spg == results[1].spg
+    assert not results[-4].spg and not results[-3].spg and not results[-2].spg

@@ -9,12 +9,9 @@ tests double as evidence that the Figure-1 reconstruction is faithful.
 import pytest
 
 from repro.baselines import bruteforce as bf
-from repro.core.essential import ev_to_dict, forward_roles, backward_roles, propagate
+from repro.core.reference import bfs_dist, ev_tables
 from repro.core.verify import departures_arrivals
-from repro.graphs.bfs import batch_distance_maps, queries_df
 from repro.graphs.generators import FIG1_IDS as V
-from repro.graphs.model import reverse_edges
-from repro.spark_util import DFPin
 
 S, T = "s", "t"
 
@@ -57,33 +54,19 @@ K = 7
 
 
 @pytest.fixture(scope="module")
-def fig1_ev_unpruned(gspark, fig1_edges):
-    q = queries_df(gspark, [(V[S], V[T])])
-    pin = DFPin()
-    evf = ev_to_dict(propagate(gspark, fig1_edges, forward_roles(q), K, pin=pin))
-    evb = ev_to_dict(
-        propagate(gspark, reverse_edges(fig1_edges), backward_roles(q), K, pin=pin)
-    )
-    pin.release()
-    return evf, evb
+def fig1_ev_unpruned(fig1):
+    radj = bf.reverse_adj(fig1.adj)
+    return ev_tables(fig1.adj, V[S], V[T], K), ev_tables(radj, V[T], V[S], K)
 
 
 @pytest.fixture(scope="module")
-def fig1_ev_pruned(gspark, fig1_edges):
-    q = queries_df(gspark, [(V[S], V[T])])
-    pin = DFPin()
-    ds, dt = batch_distance_maps(gspark, fig1_edges, q, K, pin=pin)
-    evf = ev_to_dict(
-        propagate(gspark, fig1_edges, forward_roles(q), K, dist_prune=dt, pin=pin)
+def fig1_ev_pruned(fig1):
+    radj = bf.reverse_adj(fig1.adj)
+    ds, dt = bfs_dist(fig1.adj, V[S], K), bfs_dist(radj, V[T], K)
+    return (
+        ev_tables(fig1.adj, V[S], V[T], K, dist_prune=dt),
+        ev_tables(radj, V[T], V[S], K, dist_prune=ds),
     )
-    evb = ev_to_dict(
-        propagate(
-            gspark, reverse_edges(fig1_edges), backward_roles(q), K,
-            dist_prune=ds, pin=pin,
-        )
-    )
-    pin.release()
-    return evf, evb
 
 
 @pytest.mark.parametrize("l", sorted(FIG5_FORWARD))
@@ -92,8 +75,7 @@ def test_fig5_forward_values(fig1_ev_unpruned, l):
     evf, _ = fig1_ev_unpruned
     expected = {V[name]: _ev(val) for name, val in FIG5_FORWARD[l].items()}
     expected[V[S]] = frozenset({V[S]})
-    got = {v: ev for (qid, v, ll), ev in evf.items() if ll == l}
-    assert got == expected
+    assert evf[l] == expected
 
 
 @pytest.mark.parametrize("l", sorted(FIG5_BACKWARD))
@@ -102,8 +84,7 @@ def test_fig5_backward_values(fig1_ev_unpruned, l):
     _, evb = fig1_ev_unpruned
     expected = {V[name]: _ev(val) for name, val in FIG5_BACKWARD[l].items()}
     expected[V[T]] = frozenset({V[T]})
-    got = {v: ev for (qid, v, ll), ev in evb.items() if ll == l}
-    assert got == expected
+    assert evb[l] == expected
 
 
 def test_fig5_forward_pruning(fig1_ev_pruned):
@@ -111,22 +92,20 @@ def test_fig5_forward_pruning(fig1_ev_pruned):
     evf, _ = fig1_ev_pruned
     for l, row in FIG5_FORWARD.items():
         for name, val in row.items():
-            key = (0, V[name], l)
             if (l, name) in FIG5_FORWARD_PRUNED:
-                assert key not in evf, f"{name}@{l} should be pruned"
+                assert V[name] not in evf[l], f"{name}@{l} should be pruned"
             else:
-                assert evf[key] == _ev(val), f"{name}@{l}"
+                assert evf[l][V[name]] == _ev(val), f"{name}@{l}"
 
 
 def test_fig5_backward_pruning(fig1_ev_pruned):
     _, evb = fig1_ev_pruned
     for l, row in FIG5_BACKWARD.items():
         for name, val in row.items():
-            key = (0, V[name], l)
             if (l, name) in FIG5_BACKWARD_PRUNED:
-                assert key not in evb, f"{name}@{l} should be pruned"
+                assert V[name] not in evb[l], f"{name}@{l} should be pruned"
             else:
-                assert evb[key] == _ev(val), f"{name}@{l}"
+                assert evb[l][V[name]] == _ev(val), f"{name}@{l}"
 
 
 def test_example_3_2(fig1):

@@ -1,23 +1,23 @@
 """Verification phase (§5): departures/arrivals, search orders, the DFS
-kernel, and the batch driver loop."""
+kernel, and the per-query step ``verify_query``."""
 import numpy as np
 import pytest
 
 from repro.baselines import bruteforce as bf
 from repro.core.reference import reference_eve
 from repro.core.verify import (
-    batch_verify,
     build_adjacency,
     departures_arrivals,
     search_orders,
     verify_kernel,
+    verify_query,
 )
 from repro.graphs.generators import random_digraph
 from repro.graphs.model import adjacency
 
 
 def _upper_parts(adj, s, t, k):
-    spg, upper, definite, undet = reference_eve(adj, s, t, k)
+    spg, upper, definite, undet, _ = reference_eve(adj, s, t, k)
     return spg, sorted(upper), sorted(undet), definite
 
 
@@ -133,52 +133,20 @@ def test_kernel_rejects_when_neighbors_collide():
     assert (2, 3) in found2
 
 
-def _verify_batch(n_cases):
-    """``(per_query, truths)`` over seeds ``0..n_cases-1`` at k=6."""
-    cases = {}
-    truths = {}
-    for i in range(n_cases):
+def test_verify_query_matches_bruteforce():
+    for i in range(6):
         adj, s, t, k = _random_case(i, k=6)
-        spg, upper, undet, definite = _upper_parts(adj, s, t, 6)
-        cases[i] = (upper, undet, s, t)
-        truths[i] = bf.spg_edges(adj, s, t, 6)
-    return cases, truths
+        _, upper, undet, _ = _upper_parts(adj, s, t, 6)
+        got = verify_query(upper, undet, s, t, 6)
+        assert got == set(undet) & bf.spg_edges(adj, s, t, 6)
 
 
-def test_batch_verify_matches_bruteforce(gspark):
-    cases, truths = _verify_batch(6)
-    got = batch_verify(gspark, cases, 6)
-    for i, (upper, undet, s, t) in cases.items():
-        assert got[i] == set(undet) & truths[i]
-
-
-def test_batch_verify_starts_no_spark_job(gspark):
-    """A batch with >= 256 undetermined edges is verified without Spark jobs."""
-    cases, truths = _verify_batch(12)
-    # Repeat the queries under fresh qids until the batch is large enough.
-    copies = -(-256 // sum(len(und) for _, und, _, _ in cases.values()))
-    batch = {
-        c * len(cases) + i: case for c in range(copies) for i, case in cases.items()
-    }
-    sc = gspark.sparkContext
-    group = "test-batch-verify-no-jobs"
-    sc.setJobGroup(group, "batch_verify must run on the driver")
-    try:
-        got = batch_verify(gspark, batch, 6)
-    finally:
-        sc.setLocalProperty("spark.jobGroup.id", None)
-    sc._jsc.sc().listenerBus().waitUntilEmpty()
-    assert list(sc.statusTracker().getJobIdsForGroup(group)) == []
-    for qid, (upper, undet, s, t) in batch.items():
-        assert got[qid] == set(undet) & truths[qid % len(cases)]
-
-
-def test_undetermined_edge_touching_s_rejected(gspark):
+def test_undetermined_edge_touching_s_rejected():
     """Labeling never leaves an edge at s undetermined; such input is an error."""
     spgu = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
     with pytest.raises(ValueError, match="touches s or t"):
-        batch_verify(gspark, {0: (spgu, [(0, 1)], 0, 5)}, 6)
+        verify_query(spgu, [(0, 1)], 0, 5, 6)
 
 
-def test_k_below_5_returns_empty(gspark):
-    assert batch_verify(gspark, {0: ([(0, 1)], [(0, 1)], 0, 1)}, 4) == {0: set()}
+def test_k_below_5_returns_empty():
+    assert verify_query([(0, 1)], [(0, 1)], 0, 1, 4) == set()
