@@ -2,7 +2,7 @@
 
 - :mod:`repro.baselines.bruteforce` — pure-Python exact reference (test oracle).
 - :mod:`repro.baselines.enumeration` — Spark hop-constrained simple path
-  enumeration (naive, distance-pruned "PathEnum-DFS", and JOIN).
+  enumeration (distance-pruned "PathEnum-DFS" and JOIN).
 - :mod:`repro.baselines.pathenum` — PathEnum-lite with cost-based mode choice.
 - :mod:`repro.baselines.khsq` — KHSQ / KHSQ⁺ hop-constrained s-t subgraphs.
 """

@@ -3,16 +3,16 @@
 The straightforward way to generate SPG_k(s,t) — enumerate every simple
 path and union the edges — is the paper's baseline family:
 
-- ``naive`` — level-by-level expansion of full path prefixes with only the
-  hop cap (the naive DFS of §2.3, in dataflow form). Exponential by design.
-- ``pruned`` — the same expansion pruned with a shortest-distance index
+- :func:`batch_enumerate_paths` — level-by-level expansion of simple path
+  prefixes, pruned with a shortest-distance index
   (``len + 1 + Δ(next, t) ≤ k``) — the DFS mode of PathEnum [35].
-- ``join`` — meet-in-the-middle: forward simple partial paths from ``s`` of
-  length exactly ``⌈k/2⌉`` joined with backward partial paths to ``t`` on
-  the meeting vertex, requiring vertex-disjointness and a combined length
-  ≤ k — the JOIN algorithm of [27, 29] (and PathEnum's join mode).
+- :func:`batch_join_paths` — meet-in-the-middle: forward simple partial
+  paths from ``s`` of length exactly ``⌈k/2⌉`` joined with backward partial
+  paths to ``t`` on the meeting vertex, requiring vertex-disjointness and a
+  combined length ≤ k — the JOIN algorithm of [27, 29] (and PathEnum's join
+  mode).
 
-All modes are query-batched (``qid`` column) like the EVE dataflow. Paths
+Both are query-batched (``qid`` column) like the EVE dataflow. Paths
 are rows ``(qid, verts: array<long>)``; path prefixes are pinned per level
 (see :mod:`repro.spark_util`). ``max_rows`` optionally guards each level
 with a driver-side count so runaway configurations can be aborted — the
@@ -73,21 +73,16 @@ def batch_enumerate_paths(
     queries: DataFrame,
     k: int,
     *,
-    mode: str = "pruned",
-    dist_t: Optional[DataFrame] = None,
+    dist_t: DataFrame,
     pin=no_pin,
     max_rows: Optional[int] = None,
 ) -> DataFrame:
     """All k-hop-constrained s-t simple paths per query: ``(qid, verts)``.
 
-    ``mode='pruned'`` requires ``dist_t`` — a ``(qid, v, dist)`` map of
-    distances to ``t`` (the enumeration index); expansion onto ``v`` at
-    length ``l`` is pruned unless ``l + Δ(v,t) ≤ k``.
+    ``dist_t`` is a ``(qid, v, dist)`` map of distances to ``t`` (the
+    enumeration index); expansion onto ``v`` at length ``l`` is pruned
+    unless ``l + Δ(v,t) ≤ k``.
     """
-    if mode == "pruned" and dist_t is None:
-        raise ValueError("pruned mode requires dist_t")
-    if mode not in ("naive", "pruned"):
-        raise ValueError(f"unknown mode {mode!r} (join mode: batch_join_paths)")
     tmap = F.broadcast(queries.select("qid", F.col("t").alias("cur")))
     paths = queries.select(
         "qid", F.col("s").alias("cur"), F.array(F.col("s")).alias("verts")
@@ -95,12 +90,10 @@ def batch_enumerate_paths(
     results = []
     for l in range(1, k + 1):
         ext = _expand(paths, edges)
-        if mode == "pruned":
-            keep = dist_t.where(F.col("dist") + l <= k).select(
-                "qid", F.col("v").alias("cur")
-            )
-            ext = ext.join(F.broadcast(keep), ["qid", "cur"], "left_semi")
-        ext = pin(ext)
+        keep = dist_t.where(F.col("dist") + l <= k).select(
+            "qid", F.col("v").alias("cur")
+        )
+        ext = pin(ext.join(F.broadcast(keep), ["qid", "cur"], "left_semi"))
         _guard(ext, max_rows, f"enumeration level {l}")
         reached = ext.join(tmap, ["qid", "cur"], "left_semi").select("qid", "verts")
         results.append(reached)

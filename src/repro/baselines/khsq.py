@@ -51,6 +51,7 @@ def batch_gkst(
     ``adaptive=False`` → KHSQ (plain bounded BFS each side);
     ``adaptive=True`` → KHSQ⁺ (adaptive bi-directional search).
     """
-    mode = "adaptive" if adaptive else "single"
-    dist_s, dist_t = batch_distance_maps(spark, edges, queries, k, mode=mode, pin=pin)
+    dist_s, dist_t = batch_distance_maps(
+        spark, edges, queries, k, adaptive=adaptive, pin=pin
+    )
     return gkst_edges(edges, dist_s, dist_t, k)

@@ -52,9 +52,7 @@ def build_index(
     pin=no_pin,
 ) -> PathEnumIndex:
     """Bounded BFS both ways + candidate-edge pruning (the PathEnum index)."""
-    dist_s, dist_t = batch_distance_maps(
-        spark, edges, queries, k, mode="single", pin=pin
-    )
+    dist_s, dist_t = batch_distance_maps(spark, edges, queries, k, pin=pin)
     cand = pin(gkst_edges(edges, dist_s, dist_t, k))
     stats = cand.groupBy("qid", "src").count().groupBy().avg("count").collect()
     avg_deg = float(stats[0][0] or 0.0) if stats and stats[0][0] is not None else 0.0
@@ -96,7 +94,7 @@ def batch_pathenum(
     if mode == "dfs":
         return batch_enumerate_paths(
             spark, cand_edges, queries, k,
-            mode="pruned", dist_t=idx.dist_t, pin=pin, max_rows=max_rows,
+            dist_t=idx.dist_t, pin=pin, max_rows=max_rows,
         )
     if mode == "join":
         return batch_join_paths(

@@ -11,7 +11,7 @@ scaled down for laptop Spark; see DESIGN.md §3).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import pandas as pd
@@ -19,7 +19,6 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.baselines.enumeration import (
     EnumerationBudgetExceeded,
-    batch_enumerate_paths,
     batch_join_paths,
     paths_to_spg,
 )
@@ -109,7 +108,7 @@ def run_spg_via_enumeration(
 ) -> Tuple[Optional[Dict[int, Set[Edge]]], float]:
     """Baseline SPG generation: enumerate all paths, union their edges.
 
-    ``algo`` ∈ {"join", "pathenum", "naive"}. ``edges`` overrides the search
+    ``algo`` ∈ {"join", "pathenum"}. ``edges`` overrides the search
     graph (e.g. a per-query ``(qid, src, dst)`` reduced graph for Table 5).
     Returns ``(None, elapsed)`` when the ``max_rows`` budget is exceeded —
     the INF entries of Figure 8.
@@ -143,10 +142,6 @@ def enumerate_paths(
         return batch_pathenum(spark, edges, q, k, pin=pin, max_rows=max_rows)
     if algo == "join":
         return batch_join_paths(spark, edges, q, k, pin=pin, max_rows=max_rows)
-    if algo == "naive":
-        return batch_enumerate_paths(
-            spark, edges, q, k, mode="naive", pin=pin, max_rows=max_rows
-        )
     raise ValueError(f"unknown enumeration algo {algo!r}")
 
 

@@ -1,17 +1,9 @@
-"""Graph substrate: edge-DataFrame model, generators, BFS, query workloads.
+"""Graph substrate: edge model, generators, BFS, query workloads.
 
 The paper's input is a directed graph ``G=(V,E)``; here a graph is a Spark
-DataFrame with long columns ``src`` and ``dst`` (deduplicated edges). All
-algorithms in :mod:`repro.core` and :mod:`repro.baselines` consume this
-representation.
+DataFrame with long columns ``src`` and ``dst`` (deduplicated edges). The
+Spark baselines in :mod:`repro.baselines` run on this DataFrame;
+:mod:`repro.core` and the pure-Python oracles consume an adjacency dict
+built from the collected edge list (:func:`repro.graphs.model.adjacency`).
 """
-from repro.graphs.model import (  # noqa: F401
-    EDGE_SCHEMA,
-    degrees,
-    edges_from_pairs,
-    edges_to_pandas,
-    normalize_edges,
-    num_edges,
-    num_vertices,
-    reverse_edges,
-)
+from repro.graphs.model import EDGE_SCHEMA, reverse_edges  # noqa: F401

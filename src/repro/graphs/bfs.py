@@ -2,26 +2,23 @@
 
 The engine is *query-batched*: a batch of queries ``(qid, s, t)`` runs
 through one shared dataflow, with every frontier/distance table carrying a
-``qid`` column. This is the natural bulk-dataflow formulation — per-layer
-driver/planning overhead is paid once per batch instead of once per query —
-and it mirrors the paper's evaluation protocol (1000 random queries per
-configuration).
+``qid`` column, so per-layer driver/planning overhead is paid once per batch
+instead of once per query. Its callers are the Spark baselines: KHSQ and
+PathEnum's index run it without ``adaptive``, KHSQ⁺ with it.
 
 :func:`batch_distance_maps` searches forward from every ``s`` and backward
-from every ``t`` in two phases (paper §3.3, Fig. 6(a)):
+from every ``t``. By default both sides run to depth ``k`` (plain bounded
+BFS). With ``adaptive=True`` (paper §3.3, Fig. 6(a)) it runs in two phases:
 
-1. each side expands without restriction; ``mode`` sets the depths —
-   ``single`` runs both sides to ``k`` (plain BFS), ``bidirectional`` runs
-   ``⌈k/2⌉`` forward and ``⌊k/2⌋`` backward, and ``adaptive`` expands the
-   side with the smaller aggregate frontier (summed over the batch) until
-   the depths sum to ``k`` (Adaptive Bi-directional Search [2,21]; frontier
-   counts are driver actions);
+1. the side with the smaller aggregate frontier (summed over the batch)
+   expands next, until the two depths sum to ``k`` (Adaptive Bi-directional
+   Search [2,21]; frontier counts are driver actions);
 2. each side continues to depth ``k``, restricted to the vertices the other
    side explored in phase 1.
 
 Every vertex with ``Δ(s,v) + Δ(v,t) ≤ k`` — the only vertices downstream
-consumers read (forward-looking pruning) — gets both exact distances in
-every mode; the mode changes efficiency, never those distances.
+consumers read (forward-looking pruning) — gets both exact distances either
+way; ``adaptive`` changes efficiency, never those distances.
 """
 from __future__ import annotations
 
@@ -37,8 +34,6 @@ from repro.spark_util import no_pin
 
 #: Schema for a query batch.
 QUERY_SCHEMA = "qid long, s long, t long"
-
-MODES = ("single", "bidirectional", "adaptive")
 
 
 def queries_df(spark: SparkSession, queries: Sequence[Tuple[int, int]]) -> DataFrame:
@@ -102,31 +97,29 @@ def batch_distance_maps(
     edges: DataFrame,
     queries: DataFrame,
     k: int,
-    mode: str = "bidirectional",
+    *,
+    adaptive: bool = False,
     pin=no_pin,
 ) -> Tuple[DataFrame, DataFrame]:
     """``(dist_from_s, dist_to_t)``, each ``(qid, v, dist)`` with one row per
     reached vertex (unreached vertices are absent, i.e. distance +∞).
 
     ``edges`` is a shared ``(src, dst)`` table or a per-query
-    ``(qid, src, dst)`` table; ``mode`` ∈ :data:`MODES` (see module doc).
+    ``(qid, src, dst)`` table; ``adaptive`` picks the search (see module doc).
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown distance mode: {mode!r}")
     fwd = _Side(edges, queries.select("qid", F.col("s").alias("v")).distinct())
     bwd = _Side(
         reverse_edges(edges), queries.select("qid", F.col("t").alias("v")).distinct()
     )
-    if mode == "adaptive":
+    if adaptive:
         while fwd.depth + bwd.depth < k and (fwd.size or bwd.size):
             side = fwd if 0 < fwd.size <= bwd.size or not bwd.size else bwd
             side.step(pin)
             # The count drives the control flow (and materialises the pin).
             side.size = side.frontier.count()
     else:
-        depths = (k, k) if mode == "single" else ((k + 1) // 2, k // 2)
-        for side, depth in zip((fwd, bwd), depths):
-            while side.depth < depth:
+        for side in (fwd, bwd):
+            while side.depth < k:
                 side.step(pin)
     fwd.fold(pin)
     bwd.fold(pin)

@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
-from repro.graphs.generators import random_digraph, to_spark
+from repro.graphs.generators import random_digraph
 
 
 @dataclass(frozen=True)
@@ -67,10 +66,3 @@ def dataset_edges_pdf(name: str, scale: str = "bench", *, seed: int = 7) -> pd.D
     # Stable per-dataset seed offset (builtin hash() is salted per process).
     offset = sum(ord(c) * 31**i for i, c in enumerate(name)) % 1000
     return random_digraph(spec.kind, n, avg_deg, seed=seed + offset)
-
-
-def dataset_edges(
-    spark: SparkSession, name: str, scale: str = "bench", *, seed: int = 7
-) -> DataFrame:
-    """Spark edge DataFrame for dataset ``name``."""
-    return to_spark(spark, dataset_edges_pdf(name, scale, seed=seed))

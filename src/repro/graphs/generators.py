@@ -6,10 +6,9 @@ source whose density/hub structure stands in for one class of those
 networks — see ``repro/graphs/datasets.py`` for the mapping and DESIGN.md
 §3 for why the substitution preserves the evaluated behaviour.
 
-All generators return numpy-backed pandas frames via
-:func:`repro.graphs.model.edges_from_pairs`-compatible arrays and are wrapped
-into Spark DataFrames by :func:`to_spark`. Self-pairs and duplicates are
-removed so graphs are simple.
+All generators return ``(src, dst)`` pandas frames with int64 columns,
+wrapped into Spark DataFrames by :func:`to_spark`. Self-pairs and
+duplicates are removed so graphs are simple.
 """
 from __future__ import annotations
 

@@ -8,36 +8,12 @@ automatically.
 """
 from __future__ import annotations
 
-from typing import Iterable, Tuple
-
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 #: Canonical schema for an edge list.
 EDGE_SCHEMA = "src long, dst long"
-
-
-def edges_from_pairs(
-    spark: SparkSession, pairs: Iterable[Tuple[int, int]]
-) -> DataFrame:
-    """Build an edge DataFrame from ``(src, dst)`` pairs (deduplicated)."""
-    pdf = pd.DataFrame(list(pairs), columns=["src", "dst"], dtype="int64")
-    if pdf.empty:
-        pdf = pd.DataFrame({"src": pd.Series(dtype="int64"), "dst": pd.Series(dtype="int64")})
-    return spark.createDataFrame(pdf, schema=EDGE_SCHEMA).distinct()
-
-
-def normalize_edges(edges: DataFrame) -> DataFrame:
-    """Project to the canonical ``(src, dst)`` columns, cast, deduplicate."""
-    return (
-        edges.select(
-            F.col("src").cast("long").alias("src"),
-            F.col("dst").cast("long").alias("dst"),
-        )
-        .where(F.col("src").isNotNull() & F.col("dst").isNotNull())
-        .distinct()
-    )
 
 
 def reverse_edges(edges: DataFrame) -> DataFrame:
@@ -50,58 +26,9 @@ def reverse_edges(edges: DataFrame) -> DataFrame:
     return edges.select(*cols)
 
 
-def vertices(edges: DataFrame) -> DataFrame:
-    """All vertices appearing as an endpoint, as a one-column DataFrame ``v``."""
-    return (
-        edges.select(F.col("src").alias("v"))
-        .unionByName(edges.select(F.col("dst").alias("v")))
-        .distinct()
-    )
-
-
-def num_vertices(edges: DataFrame) -> int:
-    """|V| — number of distinct endpoint vertices."""
-    return vertices(edges).count()
-
-
-def num_edges(edges: DataFrame) -> int:
-    """|E| — number of distinct edges."""
-    return edges.count()
-
-
-def degrees(edges: DataFrame) -> DataFrame:
-    """Per-vertex in/out degree: ``(v, out_deg, in_deg)``."""
-    out_deg = edges.groupBy(F.col("src").alias("v")).agg(
-        F.count("*").alias("out_deg")
-    )
-    in_deg = edges.groupBy(F.col("dst").alias("v")).agg(
-        F.count("*").alias("in_deg")
-    )
-    return (
-        vertices(edges)
-        .join(out_deg, "v", "left")
-        .join(in_deg, "v", "left")
-        .fillna(0, subset=["out_deg", "in_deg"])
-    )
-
-
-def edges_to_pandas(edges: DataFrame) -> pd.DataFrame:
-    """Collect an edge DataFrame as a pandas frame with int64 columns."""
-    pdf = edges.toPandas()
-    return pdf.astype({"src": "int64", "dst": "int64"})
-
-
 def adjacency(edges_pdf: pd.DataFrame) -> dict[int, list[int]]:
     """Out-adjacency dict from a pandas edge list (driver-side helper)."""
     adj: dict[int, list[int]] = {}
     for u, v in zip(edges_pdf["src"].tolist(), edges_pdf["dst"].tolist()):
         adj.setdefault(int(u), []).append(int(v))
     return adj
-
-
-def reverse_adjacency(edges_pdf: pd.DataFrame) -> dict[int, list[int]]:
-    """In-adjacency dict from a pandas edge list (driver-side helper)."""
-    radj: dict[int, list[int]] = {}
-    for u, v in zip(edges_pdf["src"].tolist(), edges_pdf["dst"].tolist()):
-        radj.setdefault(int(v), []).append(int(u))
-    return radj

@@ -8,28 +8,13 @@ so every run sees the same workload.
 """
 from __future__ import annotations
 
-from collections import deque
 from typing import List, Tuple
 
 import numpy as np
 import pandas as pd
 
+from repro.core.reference import bfs_dist
 from repro.graphs.model import adjacency
-
-
-def k_hop_reachable(adj: dict[int, list[int]], s: int, k: int) -> dict[int, int]:
-    """BFS distances from ``s`` truncated at depth ``k`` (driver-side)."""
-    dist = {s: 0}
-    dq = deque([s])
-    while dq:
-        u = dq.popleft()
-        if dist[u] == k:
-            continue
-        for v in adj.get(u, ()):  # noqa: E203
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                dq.append(v)
-    return dist
 
 
 def random_queries(
@@ -46,10 +31,10 @@ def random_queries(
     sources = sorted(adj.keys())
     out: List[Tuple[int, int]] = []
     tries = 0
-    while len(out) < n_queries and tries < max_tries:
+    while sources and len(out) < n_queries and tries < max_tries:
         tries += 1
         s = int(sources[g.integers(0, len(sources))])
-        reach = [v for v in k_hop_reachable(adj, s, k) if v != s]
+        reach = [v for v in bfs_dist(adj, s, k) if v != s]
         if not reach:
             continue
         t = int(reach[g.integers(0, len(reach))])

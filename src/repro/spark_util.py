@@ -31,26 +31,29 @@ def ensure_session_env() -> None:
     was imported from on the Python workers' path, so that a script that
     only extended its own ``sys.path`` (``python jobs/…``) can run
     ``eve_spg_batch``, whose queries run in Python workers. Safe to call
-    repeatedly; respects an existing setting.
+    repeatedly; each of the three settings the caller's
+    ``PYSPARK_SUBMIT_ARGS`` already has is left as it is.
     """
-    src = Path(__file__).resolve().parents[1]
-    extra = (
-        "--conf spark.local.dir=/dev/shm/spark-local "
-        "--conf spark.ui.showConsoleProgress=false "
-        f"--conf {shlex.quote(f'spark.executorEnv.PYTHONPATH={src}')} "
+    confs = {
+        "spark.local.dir": "/dev/shm/spark-local",
+        "spark.ui.showConsoleProgress": "false",
+        "spark.executorEnv.PYTHONPATH": str(Path(__file__).resolve().parents[1]),
+    }
+    args = os.environ.get(
+        "PYSPARK_SUBMIT_ARGS",
+        f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
+        f"--driver-memory {os.environ.get('SPARK_DRIVER_MEM', '8g')} "
+        "--conf spark.driver.host=127.0.0.1 "
+        "--conf spark.ui.enabled=false pyspark-shell",
     )
-    args = os.environ.get("PYSPARK_SUBMIT_ARGS")
-    if args is None:
-        os.environ["PYSPARK_SUBMIT_ARGS"] = (
-            f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-            f"--driver-memory {os.environ.get('SPARK_DRIVER_MEM', '8g')} "
-            "--conf spark.driver.host=127.0.0.1 "
-            "--conf spark.ui.enabled=false " + extra + "pyspark-shell"
-        )
-    elif "spark.local.dir" not in args:
-        os.environ["PYSPARK_SUBMIT_ARGS"] = args.replace(
-            "pyspark-shell", extra + "pyspark-shell"
-        )
+    extra = "".join(
+        f"--conf {shlex.quote(f'{key}={value}')} "
+        for key, value in confs.items()
+        if key not in args
+    )
+    os.environ["PYSPARK_SUBMIT_ARGS"] = args.replace(
+        "pyspark-shell", extra + "pyspark-shell"
+    )
 
 
 def tune_runtime(spark: SparkSession, n_partitions: int = 4) -> None:

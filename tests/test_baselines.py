@@ -53,13 +53,8 @@ def _truth_paths(adj, qs):
 def enumerated(gspark, bsetup):
     pdf, adj, edges, qs, q, ds, dt, pin = bsetup
     return {
-        "naive": _pathset(
-            batch_enumerate_paths(gspark, edges, q, K, mode="naive", pin=pin)
-        ),
         "pruned": _pathset(
-            batch_enumerate_paths(
-                gspark, edges, q, K, mode="pruned", dist_t=dt, pin=pin
-            )
+            batch_enumerate_paths(gspark, edges, q, K, dist_t=dt, pin=pin)
         ),
         "join": _pathset(batch_join_paths(gspark, edges, q, K, pin=pin)),
         "pathenum": _pathset(batch_pathenum(gspark, edges, q, K, pin=pin)),
@@ -69,9 +64,7 @@ def enumerated(gspark, bsetup):
     }
 
 
-@pytest.mark.parametrize(
-    "algo", ["naive", "pruned", "join", "pathenum", "pathenum-join"]
-)
+@pytest.mark.parametrize("algo", ["pruned", "join", "pathenum", "pathenum-join"])
 def test_enumeration_matches_bruteforce(bsetup, enumerated, algo):
     pdf, adj, edges, qs, *_ = bsetup
     assert enumerated[algo] == _truth_paths(adj, qs), algo
@@ -80,9 +73,7 @@ def test_enumeration_matches_bruteforce(bsetup, enumerated, algo):
 def test_paths_match_duckdb_oracle(gspark, bsetup):
     """Path sets equal DuckDB's recursive-CTE enumeration, per query."""
     pdf, adj, edges, qs, q, ds, dt, pin = bsetup
-    paths = batch_enumerate_paths(
-        gspark, edges, q, K, mode="pruned", dist_t=dt, pin=pin
-    )
+    paths = batch_enumerate_paths(gspark, edges, q, K, dist_t=dt, pin=pin)
     for qid, (s, t) in list(enumerate(qs))[:3]:
         got = path_strings(paths.where(f"qid = {qid}")).select("path")
         oracle.assert_equivalent(got, oracle.paths_sql(s, t, K), edges=pdf)
@@ -92,7 +83,7 @@ def test_paths_to_spg_matches_oracle(gspark, bsetup):
     """Baseline SPG (union of path edges) == DuckDB Definition 2.1."""
     pdf, adj, edges, qs, q, ds, dt, pin = bsetup
     spg = paths_to_spg(
-        batch_enumerate_paths(gspark, edges, q, K, mode="pruned", dist_t=dt, pin=pin)
+        batch_enumerate_paths(gspark, edges, q, K, dist_t=dt, pin=pin)
     )
     for qid, (s, t) in list(enumerate(qs))[:3]:
         got = spg.where(f"qid = {qid}").select("src", "dst")
@@ -148,14 +139,12 @@ def test_budget_guard_raises(gspark, bsetup):
     pdf, adj, edges, qs, q, ds, dt, pin = bsetup
     with pytest.raises(EnumerationBudgetExceeded):
         batch_enumerate_paths(
-            gspark, edges, q, K, mode="naive", pin=pin, max_rows=1
+            gspark, edges, q, K, dist_t=dt, pin=pin, max_rows=1
         )
 
 
 def test_unknown_mode_rejected(gspark, bsetup):
     pdf, adj, edges, qs, q, ds, dt, pin = bsetup
-    with pytest.raises(ValueError):
-        batch_enumerate_paths(gspark, edges, q, K, mode="bogus")
     with pytest.raises(ValueError):
         batch_pathenum(gspark, edges, q, K, mode="bogus")
 

@@ -3,10 +3,11 @@ import pandas as pd
 import pytest
 
 from repro import oracle
+from repro.baselines.bruteforce import reverse_adj
 from repro.core.reference import bfs_dist
 from repro.graphs.bfs import batch_distance_maps, queries_df
 from repro.graphs.generators import grid, random_digraph, to_spark
-from repro.graphs.model import adjacency, reverse_adjacency
+from repro.graphs.model import adjacency
 from repro.graphs.queries import random_queries
 from repro.spark_util import DFPin
 
@@ -25,9 +26,7 @@ def gsetup(gspark):
 def test_single_bfs_matches_duckdb(gspark, gsetup):
     """Single-directional BFS distances from s == DuckDB recursive SQL."""
     pdf, adj, edges, qs = gsetup
-    ds, _ = batch_distance_maps(
-        gspark, edges, queries_df(gspark, qs[:1]), K, mode="single"
-    )
+    ds, _ = batch_distance_maps(gspark, edges, queries_df(gspark, qs[:1]), K)
     got = ds.select("v", "dist")
     oracle.assert_equivalent(got, oracle.distances_sql(qs[0][0], K), edges=pdf)
 
@@ -35,25 +34,20 @@ def test_single_bfs_matches_duckdb(gspark, gsetup):
 def test_single_bfs_reversed_matches_duckdb(gspark, gsetup):
     """Single-directional BFS distances to t == DuckDB recursive SQL."""
     pdf, adj, edges, qs = gsetup
-    _, dt = batch_distance_maps(
-        gspark, edges, queries_df(gspark, qs[:1]), K, mode="single"
-    )
+    _, dt = batch_distance_maps(gspark, edges, queries_df(gspark, qs[:1]), K)
     got = dt.select("v", "dist")
     oracle.assert_equivalent(
         got, oracle.distances_sql(qs[0][1], K, reversed_=True), edges=pdf
     )
 
 
-@pytest.mark.parametrize("mode", ["single", "bidirectional", "adaptive"])
-def test_distance_maps_exact_on_k_ball(gspark, gsetup, mode):
-    """Every mode agrees with reference BFS on every vertex with
+@pytest.mark.parametrize("adaptive", [False, True], ids=["single", "adaptive"])
+def test_distance_maps_exact_on_k_ball(gspark, gsetup, adaptive):
+    """Both searches agree with reference BFS on every vertex with
     Δ(s,v)+Δ(v,t) ≤ k (the only vertices downstream consumers read), on the
     shared edge table and on a per-query (qid, src, dst) copy of it."""
     pdf, adj, edges, qs = gsetup
-    radj = reverse_adjacency(pdf)
-
-    def radj_list(v):
-        return radj.get(v, [])
+    radj = reverse_adj(adj)
 
     per_query = gspark.createDataFrame(
         pd.concat([pdf.assign(qid=i) for i in range(len(qs))])[["qid", "src", "dst"]],
@@ -63,18 +57,20 @@ def test_distance_maps_exact_on_k_ball(gspark, gsetup, mode):
     q = queries_df(gspark, qs)
     for graph in (edges, per_query):
         pin = DFPin()
-        ds, dt = batch_distance_maps(gspark, graph, q, K, mode=mode, pin=pin)
+        ds, dt = batch_distance_maps(
+            gspark, graph, q, K, adaptive=adaptive, pin=pin
+        )
         got_s = {(int(r["qid"]), int(r["v"])): int(r["dist"]) for r in ds.collect()}
         got_t = {(int(r["qid"]), int(r["v"])): int(r["dist"]) for r in dt.collect()}
         pin.release()
         for qid, (s, t) in enumerate(qs):
             ref_s = bfs_dist(adj, s, K)
-            ref_t = bfs_dist({v: radj_list(v) for v in radj}, t, K)
+            ref_t = bfs_dist(radj, t, K)
             for v in set(ref_s) | set(ref_t):
                 if ref_s.get(v, 99) + ref_t.get(v, 99) <= K:
-                    assert got_s[(qid, v)] == ref_s[v], (mode, qid, v)
-                    assert got_t[(qid, v)] == ref_t[v], (mode, qid, v)
-        # no mode reports a *wrong* (too small) distance anywhere
+                    assert got_s[(qid, v)] == ref_s[v], (adaptive, qid, v)
+                    assert got_t[(qid, v)] == ref_t[v], (adaptive, qid, v)
+        # neither search reports a *wrong* (too small) distance anywhere
         for (qid, v), d in got_s.items():
             s = qs[qid][0]
             assert bfs_dist(adj, s, K).get(v) == d
@@ -84,9 +80,7 @@ def test_grid_distances(gspark):
     """Deterministic check: directed grid distances are Manhattan."""
     pdf = grid(4, 5)
     edges = to_spark(gspark, pdf).repartition(1)
-    ds, _ = batch_distance_maps(
-        gspark, edges, queries_df(gspark, [(0, 19)]), 7, mode="single"
-    )
+    ds, _ = batch_distance_maps(gspark, edges, queries_df(gspark, [(0, 19)]), 7)
     got = {int(r["v"]): int(r["dist"]) for r in ds.collect()}
     for r in range(4):
         for c in range(5):
@@ -103,7 +97,7 @@ def test_per_query_edges_bfs(gspark, gsetup):
     )
     qdf = queries_df(gspark, [qs[0], qs[1]])
     per_q = gspark.createDataFrame(both, schema="qid long, src long, dst long")
-    ds, _ = batch_distance_maps(gspark, per_q, qdf, 3, mode="single")
+    ds, _ = batch_distance_maps(gspark, per_q, qdf, 3)
     got = ds.collect()
     by_qid = {}
     for r in got:
@@ -111,9 +105,3 @@ def test_per_query_edges_bfs(gspark, gsetup):
     ref = bfs_dist(adj, qs[0][0], 3)
     assert by_qid[0] == ref
     assert set(by_qid.get(1, {qs[1][0]: 0})) == {qs[1][0]}
-
-
-def test_unknown_mode_rejected(gspark, gsetup):
-    pdf, adj, edges, qs = gsetup
-    with pytest.raises(ValueError):
-        batch_distance_maps(gspark, edges, queries_df(gspark, qs), K, mode="warp")

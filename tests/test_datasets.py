@@ -2,7 +2,7 @@
 import pytest
 
 from repro.graphs import datasets as D
-from repro.graphs.model import adjacency
+from repro.graphs.generators import to_spark
 
 
 def test_fifteen_datasets():
@@ -39,7 +39,9 @@ def test_relative_density_ordering_preserved():
     assert davg("hm") > davg("wt")
 
 
+
 def test_spark_loading(gspark):
-    df = D.dataset_edges(gspark, "tw", "test")
-    assert df.columns == ["src", "dst"]
-    assert df.count() > 0
+    pdf = D.dataset_edges_pdf("tw", "test")
+    df = to_spark(gspark, pdf)
+    assert df.dtypes == [("src", "bigint"), ("dst", "bigint")]
+    assert df.count() == len(pdf)

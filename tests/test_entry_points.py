@@ -1,0 +1,54 @@
+"""The table drivers in ``jobs/`` and the benchmark in ``perfbench/`` import
+only what the program still has; starts no Spark job."""
+import ast
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import repro.core.eve as eve
+
+ROOT = Path(__file__).resolve().parents[1]
+ENTRY_POINTS = [
+    *sorted((ROOT / "jobs").glob("*.py")),
+    ROOT / "perfbench" / "run.py",
+    ROOT / "perfbench" / "layers.py",
+]
+
+
+def _repro_imports(path: Path):
+    """``(module, name)`` for each ``repro`` import anywhere in the file,
+    function bodies included; ``name`` is None for ``import repro.x``."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "repro":
+            for alias in node.names:
+                yield node.module, alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "repro":
+                    yield alias.name, None
+
+
+def test_entry_points_import_existing_names():
+    missing, importers = [], set()
+    for path in ENTRY_POINTS:
+        for module, name in _repro_imports(path):
+            importers.add(path.name)
+            mod = importlib.import_module(module)
+            if name is not None and not (
+                hasattr(mod, name) or importlib.util.find_spec(f"{module}.{name}")
+            ):
+                missing.append(f"{path.relative_to(ROOT)}: {module}.{name}")
+    assert not missing
+    assert importers == {p.name for p in ENTRY_POINTS} - {"_common.py"}
+
+    # perfbench/layers.py swaps these attributes of repro.core.eve while it
+    # traces a batch, and perfbench/run.py passes time_phases when tracing.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_layers", ROOT / "perfbench" / "layers.py"
+    )
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    for attr in (*layers.LAYERS.values(), "DFPin"):
+        assert hasattr(eve, attr), attr
+    assert "time_phases" in inspect.signature(eve.eve_spg_batch).parameters

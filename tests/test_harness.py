@@ -42,7 +42,7 @@ def test_run_path_enumeration_counts(gspark, workload):
 
 
 def test_budget_exceeded_returns_none(gspark, workload):
-    n, secs = H.run_path_enumeration(gspark, workload, "naive", max_rows=1)
+    n, secs = H.run_path_enumeration(gspark, workload, "join", max_rows=1)
     assert n is None
 
 

@@ -3,23 +3,13 @@ import pandas as pd
 import pytest
 
 from repro.graphs import model as M
+from repro.graphs.generators import to_spark
 
 
 @pytest.fixture(scope="module")
 def small(gspark):
-    return M.edges_from_pairs(gspark, [(0, 1), (0, 1), (1, 2), (2, 0), (2, 2)])
-
-
-def test_edges_from_pairs_dedupes(small):
-    assert small.count() == 4  # duplicate (0,1) removed; self-loop kept
-
-
-def test_normalize_edges(gspark):
-    pdf = pd.DataFrame({"src": [1.0, 1.0, None], "dst": [2.0, 2.0, 3.0]})
-    df = gspark.createDataFrame(pdf)
-    out = M.normalize_edges(df)
-    assert [(r["src"], r["dst"]) for r in out.collect()] == [(1, 2)]
-    assert dict(out.dtypes) == {"src": "bigint", "dst": "bigint"}
+    pdf = pd.DataFrame({"src": [0, 1, 2, 2], "dst": [1, 2, 0, 2]})
+    return to_spark(gspark, pdf)
 
 
 def test_reverse_edges(small):
@@ -40,31 +30,15 @@ def test_reverse_edges_preserves_qid(gspark):
     }
 
 
-def test_vertices_and_counts(small):
-    assert M.num_vertices(small) == 3
-    assert M.num_edges(small) == 4
-
-
-def test_degrees(small):
-    rows = {r["v"]: (r["out_deg"], r["in_deg"]) for r in M.degrees(small).collect()}
-    assert rows[0] == (1, 1)
-    assert rows[2] == (2, 2)  # includes the self-loop both ways
-
-
 def test_adjacency_helpers():
     pdf = pd.DataFrame({"src": [0, 0, 1], "dst": [1, 2, 2]})
     assert M.adjacency(pdf) == {0: [1, 2], 1: [2]}
-    assert M.reverse_adjacency(pdf) == {1: [0], 2: [0, 1]}
 
-
-def test_edges_to_pandas(small):
-    pdf = M.edges_to_pandas(small)
-    assert set(pdf.columns) == {"src", "dst"}
-    assert pdf.dtypes.astype(str).tolist() == ["int64", "int64"]
-    assert len(pdf) == 4
 
 
 def test_empty_edges(gspark):
-    df = M.edges_from_pairs(gspark, [])
+    pdf = pd.DataFrame({c: pd.Series(dtype="int64") for c in ("src", "dst")})
+    assert M.adjacency(pdf) == {}
+    df = to_spark(gspark, pdf)
     assert df.count() == 0
-    assert M.num_vertices(df) == 0
+    assert M.reverse_edges(df).count() == 0

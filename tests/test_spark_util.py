@@ -57,6 +57,21 @@ def test_ensure_session_env_idempotent():
         os.environ["PYSPARK_SUBMIT_ARGS"] = before
 
 
+def test_ensure_session_env_adds_each_missing_conf(monkeypatch):
+    """A caller's own ``spark.local.dir`` does not stop the workers' path."""
+    monkeypatch.setenv(
+        "PYSPARK_SUBMIT_ARGS",
+        "--master local[2] --conf spark.local.dir=/tmp/x pyspark-shell",
+    )
+    su.ensure_session_env()
+    args = os.environ["PYSPARK_SUBMIT_ARGS"]
+    src = Path(su.__file__).resolve().parents[1]
+    assert f"spark.executorEnv.PYTHONPATH={src}" in args
+    assert "spark.ui.showConsoleProgress=false" in args
+    assert args.count("spark.local.dir") == 1
+    assert args.endswith(" pyspark-shell")
+
+
 def test_python_workers_import_repro_without_pythonpath(tmp_path):
     """``eve_spg_batch`` answers in a fresh session whose Python workers get
     no ``PYTHONPATH`` from the environment."""
