@@ -75,30 +75,26 @@ def batch_pathenum(
     queries: DataFrame,
     k: int,
     *,
-    mode: str = "auto",
     pin=no_pin,
     max_rows: Optional[int] = None,
 ) -> DataFrame:
     """PathEnum: all k-hop-constrained s-t simple paths ``(qid, verts)``.
 
-    ``mode`` ∈ {auto, dfs, join}. Running "PathEnum on SPG_k / G^k_st"
-    (Tables 4–5) just passes the reduced graph as ``edges`` — the index,
-    candidate set and every expansion step shrink with it.
+    :func:`choose_mode` picks DFS or JOIN mode from the index. Running
+    "PathEnum on SPG_k / G^k_st" (Tables 4–5) just passes the reduced graph
+    as ``edges`` — the index, candidate set and every expansion step shrink
+    with it.
     """
     idx = build_index(spark, edges, queries, k, pin=pin)
-    if mode == "auto":
-        mode = choose_mode(idx.avg_out_degree, k)
     # Per-query candidate edges: the expansion joins match on qid, so each
     # query only ever walks its own candidate subgraph.
     cand_edges = idx.candidate_edges
-    if mode == "dfs":
-        return batch_enumerate_paths(
-            spark, cand_edges, queries, k,
-            dist_t=idx.dist_t, pin=pin, max_rows=max_rows,
-        )
-    if mode == "join":
+    if choose_mode(idx.avg_out_degree, k) == "join":
         return batch_join_paths(
             spark, cand_edges, queries, k,
             dist_s=idx.dist_s, dist_t=idx.dist_t, pin=pin, max_rows=max_rows,
         )
-    raise ValueError(f"unknown mode {mode!r}")
+    return batch_enumerate_paths(
+        spark, cand_edges, queries, k,
+        dist_t=idx.dist_t, pin=pin, max_rows=max_rows,
+    )

@@ -5,6 +5,7 @@
   whole per-query pipeline with per-phase timings.
 - :mod:`repro.core.verify` — §5: departures/arrivals + DFS verification.
 - :mod:`repro.core.eve` — runs the per-query pipeline over a batch of
-  queries in Spark's Python workers.
+  queries in Spark's Python workers: one RDD ``map`` over the broadcast
+  adjacency, whose ``collect`` returns the answers in query order.
 - :mod:`repro.core.stats` — §6.6 coverage/redundant ratios.
 """

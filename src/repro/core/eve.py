@@ -9,40 +9,29 @@ query, inside Spark's Python workers:
 
 1. collect the ``(src, dst)`` edges once per call and broadcast their
    adjacency dict;
-2. spread the query ids ``0..Q-1`` over ``min(Q, defaultParallelism)``
-   partitions (``spark.range``; the ``(s, t)`` pairs travel with the
-   function);
-3. one ``mapInPandas`` answers each partition's queries and returns a row
-   per upper-bound edge, which one Arrow ``toPandas`` brings back.
+2. spread the ``(s, t)`` pairs over ``min(Q, defaultParallelism)``
+   partitions of an RDD;
+3. ``map`` each pair to its ``reference_eve`` answer on the broadcast
+   graph, and ``collect`` the answers, which come back in query order.
 
-A batch is two Spark jobs (the edge collect and the answer collect). The
-graph must fit in one Python worker; see DESIGN.md "Layering".
+The step uses the RDD API because its input and output are Python objects
+(query pairs, edge sets, phase times), not relations. A batch is two Spark
+jobs (the edge collect and the answer collect). The graph must fit in one
+Python worker; see DESIGN.md "Layering".
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Dict, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
-import pandas as pd
-from pyspark import Broadcast
 from pyspark.sql import DataFrame, SparkSession
 
 from repro import spark_util
-from repro.core.reference import PHASES, bfs_dist, ev_tables, label_edge, reference_eve
+from repro.core.reference import bfs_dist, ev_tables, label_edge, reference_eve
 from repro.core.verify import verify_query
-from repro.graphs.model import adjacency
+from repro.graphs.model import EDGE_SCHEMA, adjacency
 
 Edge = Tuple[int, int]
-
-#: Rows ``mapInPandas`` returns. Per query: one row with label 0, ``src = s``,
-#: ``dst = t`` and the query's phase times; then one row per upper-bound edge
-#: with its Algorithm 2 label (1 undetermined, 2 definite), whether the edge
-#: is in SPG_k (``confirmed``) and null times.
-RESULT_SCHEMA = ", ".join(
-    ["qid long", "src long", "dst long", "label int", "confirmed boolean"]
-    + [f"{p} double" for p in PHASES]
-)
 
 # perfbench/layers.py swaps these five names for tracing wrappers while it
 # traces a batch. The phases run inside Python workers, which the wrappers do
@@ -76,40 +65,7 @@ class EveResult:
 
     def spg_df(self, spark: SparkSession) -> DataFrame:
         """The answer as a Spark DataFrame ``(src, dst)``."""
-        pdf = pd.DataFrame(sorted(self.spg), columns=["src", "dst"])
-        if pdf.empty:
-            pdf = pd.DataFrame(
-                {"src": pd.Series(dtype="int64"), "dst": pd.Series(dtype="int64")}
-            )
-        return spark.createDataFrame(pdf, schema="src long, dst long")
-
-
-def _answer_queries(
-    graph: Broadcast,
-    query_pairs: List[Tuple[int, int]],
-    k: int,
-    prune: bool,
-    order: bool,
-    batches: Iterator[pd.DataFrame],
-) -> Iterator[pd.DataFrame]:
-    """``mapInPandas`` body: :data:`RESULT_SCHEMA` rows for each ``qid``."""
-    adj = graph.value
-    no_times = (None,) * len(PHASES)
-    for pdf in batches:
-        rows = []
-        for qid in pdf["qid"].tolist():
-            s, t = query_pairs[qid]
-            spg, upper, definite, _, timings = reference_eve(
-                adj, s, t, k, prune=prune, order=order
-            )
-            rows.append((qid, s, t, 0, False, *(timings[p] for p in PHASES)))
-            rows.extend(
-                (qid, u, v, 2 if (u, v) in definite else 1, (u, v) in spg, *no_times)
-                for u, v in upper
-            )
-        yield pd.DataFrame(
-            rows, columns=["qid", "src", "dst", "label", "confirmed", *PHASES]
-        )
+        return spark.createDataFrame(sorted(self.spg), EDGE_SCHEMA)
 
 
 def eve_spg_batch(
@@ -142,31 +98,25 @@ def eve_spg_batch(
     sc = spark.sparkContext
     graph = sc.broadcast(adjacency(edges.select("src", "dst").toPandas()))
     try:
-        qids = spark.range(
-            0, len(pairs), 1, max(1, min(len(pairs), sc.defaultParallelism))
-        ).toDF("qid")
-        rows = qids.mapInPandas(
-            partial(_answer_queries, graph, pairs, k, prune, order), RESULT_SCHEMA
-        ).toPandas()
+        answers = (
+            sc.parallelize(pairs, max(1, min(len(pairs), sc.defaultParallelism)))
+            .map(lambda st: reference_eve(
+                graph.value, *st, k, prune=prune, order=order
+            ))
+            .collect()
+        )
     finally:
         graph.destroy()
 
-    results = [
-        EveResult(s=s, t=t, k=k, spg=set(), upper=set(), definite=set(),
-                  undetermined=set())
-        for s, t in pairs
-    ]
     # The queries of a batch share most of their edges, and callers keep many
-    # results: every result refers to one tuple per distinct edge.
-    edge_tuples: Dict[Edge, Edge] = {}
-    for qid, u, v, label, confirmed, *times in rows.itertuples(index=False):
-        res = results[qid]
-        if label == 0:
-            res.timings = dict(zip(PHASES, times))
-            continue
-        e = edge_tuples.setdefault((u, v), (u, v))
-        res.upper.add(e)
-        (res.definite if label == 2 else res.undetermined).add(e)
-        if confirmed:
-            res.spg.add(e)
+    # results: every result refers to one tuple per distinct edge. Popping
+    # frees each collected answer once its result is built, so the driver
+    # never holds the whole batch twice.
+    canon: Dict[Edge, Edge] = {}
+    answers.reverse()
+    results = []
+    for s, t in pairs:
+        *edge_sets, timings = answers.pop()
+        interned = ({canon.setdefault(e, e) for e in es} for es in edge_sets)
+        results.append(EveResult(s, t, k, *interned, timings=timings))
     return results

@@ -57,11 +57,16 @@ def build_adjacency(
 
 
 def departures_arrivals(
-    spgu_edges: Sequence[Edge], s: int, t: int, k: int
+    out_adj: Dict[int, List[int]],
+    in_adj: Dict[int, List[int]],
+    s: int,
+    t: int,
+    k: int,
 ) -> Tuple[Set[int], Set[int], Dict[int, List[int]], Dict[int, List[int]]]:
-    """(D, A, In_D, Out_A) per Definitions 5.1–5.4 with the k-2 cap (Thm 5.8)."""
-    es = set(spgu_edges)
-    out_adj, in_adj = build_adjacency(spgu_edges)
+    """(D, A, In_D, Out_A) per Definitions 5.1–5.4 with the k-2 cap (Thm 5.8).
+
+    ``out_adj``/``in_adj`` are SPG^u's adjacency (:func:`build_adjacency`).
+    """
     in_d: Dict[int, List[int]] = {}
     for x in out_adj.get(s, ()):  # e(s, x) in SPG^u
         if x in (s, t):
@@ -81,6 +86,7 @@ def departures_arrivals(
     cap = max(0, k - 2)
     in_d = {v: sorted(set(xs))[:cap] for v, xs in in_d.items()}
     out_a = {v: sorted(set(ys))[:cap] for v, ys in out_a.items()}
+    es = {(u, v) for u, vs in out_adj.items() for v in vs}
     if not all((s, x) in es and (x, v) in es for v, xs in in_d.items() for x in xs):
         raise ValueError("In_D lists a vertex without its SPG^u edges")
     return set(in_d), set(out_a), in_d, out_a
@@ -208,8 +214,8 @@ def verify_query(
     """
     if k < 5 or not undetermined:
         return set()
-    D, A, in_d, out_a = departures_arrivals(spgu_edges, s, t, k)
     out_adj, in_adj = build_adjacency(spgu_edges)
+    D, A, in_d, out_a = departures_arrivals(out_adj, in_adj, s, t, k)
     if order:
         out_adj, in_adj = search_orders(out_adj, in_adj, D, A, in_d, out_a)
     found = verify_kernel(out_adj, in_adj, undetermined, D, A, in_d, out_a, k, s, t)

@@ -1,10 +1,11 @@
 """Edge-DataFrame graph model.
 
 A directed graph is a Spark DataFrame with columns ``src: long`` and
-``dst: long``. Edges are deduplicated (the paper's graphs are simple
-directed graphs); self-loops are permitted in the input and are provably
-never part of any simple path graph, so the algorithms label them failing
-automatically.
+``dst: long``. The generators emit each edge once (the paper's graphs are
+simple directed graphs), but nothing deduplicates the input:
+``eve_spg_batch`` accepts duplicate rows and :func:`adjacency` keeps them.
+Self-loops are permitted in the input and are provably never part of any
+simple path graph, so the algorithms label them failing automatically.
 """
 from __future__ import annotations
 

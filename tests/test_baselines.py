@@ -52,6 +52,8 @@ def _truth_paths(adj, qs):
 @pytest.fixture(scope="module")
 def enumerated(gspark, bsetup):
     pdf, adj, edges, qs, q, ds, dt, pin = bsetup
+    # PathEnum's JOIN mode on its own index, whatever choose_mode picks here.
+    idx = build_index(gspark, edges, q, K, pin=pin)
     return {
         "pruned": _pathset(
             batch_enumerate_paths(gspark, edges, q, K, dist_t=dt, pin=pin)
@@ -59,7 +61,10 @@ def enumerated(gspark, bsetup):
         "join": _pathset(batch_join_paths(gspark, edges, q, K, pin=pin)),
         "pathenum": _pathset(batch_pathenum(gspark, edges, q, K, pin=pin)),
         "pathenum-join": _pathset(
-            batch_pathenum(gspark, edges, q, K, mode="join", pin=pin)
+            batch_join_paths(
+                gspark, idx.candidate_edges, q, K,
+                dist_s=idx.dist_s, dist_t=idx.dist_t, pin=pin,
+            )
         ),
     }
 
@@ -141,12 +146,6 @@ def test_budget_guard_raises(gspark, bsetup):
         batch_enumerate_paths(
             gspark, edges, q, K, dist_t=dt, pin=pin, max_rows=1
         )
-
-
-def test_unknown_mode_rejected(gspark, bsetup):
-    pdf, adj, edges, qs, q, ds, dt, pin = bsetup
-    with pytest.raises(ValueError):
-        batch_pathenum(gspark, edges, q, K, mode="bogus")
 
 
 def test_per_query_reduced_graph_enumeration(gspark, bsetup):

@@ -157,6 +157,22 @@ def test_timings_keys_do_not_depend_on_time_phases(gspark, fig1_edges, k):
             assert all(sec >= 0 for sec in res.timings.values())
 
 
+def test_empty_batch(gspark, fig1_edges):
+    assert eve_spg_batch(gspark, fig1_edges, [], 5) == []
+
+
+def test_batch_results_share_edge_tuples(gspark, fig1_edges):
+    """Answers computed in different Python workers refer to one tuple per
+    distinct edge, so a caller that keeps many results holds each edge once."""
+    qs = [(FIG1_IDS["s"], FIG1_IDS["t"]), (FIG1_IDS["a"], FIG1_IDS["t"])] * 3
+    results = eve_spg_batch(gspark, fig1_edges, qs, 6)
+    canon = {}
+    for res in results:
+        for e in (*res.upper, *res.spg, *res.definite, *res.undetermined):
+            assert canon.setdefault(e, e) is e
+    assert len(canon) < sum(len(res.upper) for res in results)
+
+
 def test_batch_runs_in_two_spark_jobs(gspark, fig1_edges):
     """One batch is the edge collect plus the answer collect, at any Q."""
     sc = gspark.sparkContext
@@ -172,7 +188,7 @@ def test_batch_runs_in_two_spark_jobs(gspark, fig1_edges):
 
 
 # ---------------------------------------------------------------------------
-# The batch plumbing (qid ↔ row mapping, partitioning, odd inputs) against
+# The batch plumbing (answer order, partitioning, odd inputs) against
 # brute force.
 # ---------------------------------------------------------------------------
 

@@ -10,7 +10,7 @@ import pytest
 
 from repro.baselines import bruteforce as bf
 from repro.core.reference import bfs_dist, ev_tables
-from repro.core.verify import departures_arrivals
+from repro.core.verify import build_adjacency, departures_arrivals
 from repro.graphs.generators import FIG1_IDS as V
 
 S, T = "s", "t"
@@ -170,7 +170,8 @@ def test_example_5_5_departures_arrivals(fig1_eve):
     """Example 5.5: c is both a departure (In_D={a}) and an arrival
     (Out_A={b}); Example 5.7: i ∈ D with In_D(i)={a}, h ∈ A with Out_A(h)={b}."""
     res = fig1_eve[7]
-    D, A, in_d, out_a = departures_arrivals(sorted(res.upper), V[S], V[T], 7)
+    spgu = build_adjacency(sorted(res.upper))
+    D, A, in_d, out_a = departures_arrivals(*spgu, V[S], V[T], 7)
     assert V["c"] in D and in_d[V["c"]] == [V["a"]]
     assert V["c"] in A and out_a[V["c"]] == [V["b"]]
     assert V["i"] in D and in_d[V["i"]] == [V["a"]]

@@ -41,7 +41,7 @@ def test_departures_match_definition(seed):
     adj, s, t, k = _random_case(seed)
     spg, upper, undet, definite = _upper_parts(adj, s, t, k)
     es = set(map(tuple, upper))
-    D, A, in_d, out_a = departures_arrivals(upper, s, t, k)
+    D, A, in_d, out_a = departures_arrivals(*build_adjacency(upper), s, t, k)
     expect_D = {
         v
         for (x, v) in es
@@ -70,8 +70,8 @@ def test_kernel_confirms_exactly_truth(seed):
     adj, s, t, k = _random_case(seed)
     truth = bf.spg_edges(adj, s, t, k)
     spg, upper, undet, definite = _upper_parts(adj, s, t, k)
-    D, A, in_d, out_a = departures_arrivals(upper, s, t, k)
     out_adj, in_adj = build_adjacency(upper)
+    D, A, in_d, out_a = departures_arrivals(out_adj, in_adj, s, t, k)
     found = verify_kernel(out_adj, in_adj, undet, D, A, in_d, out_a, k, s, t)
     assert (found & set(undet)) == (set(undet) & truth)
 
@@ -81,8 +81,8 @@ def test_ordering_is_pure_optimisation(seed):
     adj, s, t, k = _random_case(seed, k=7)
     truth = bf.spg_edges(adj, s, t, k)
     spg, upper, undet, definite = _upper_parts(adj, s, t, k)
-    D, A, in_d, out_a = departures_arrivals(upper, s, t, k)
     out_adj, in_adj = build_adjacency(upper)
+    D, A, in_d, out_a = departures_arrivals(out_adj, in_adj, s, t, k)
     plain = verify_kernel(out_adj, in_adj, undet, D, A, in_d, out_a, k, s, t)
     o_out, o_in = search_orders(out_adj, in_adj, D, A, in_d, out_a)
     ordered = verify_kernel(o_out, o_in, undet, D, A, in_d, out_a, k, s, t)
@@ -108,9 +108,9 @@ def test_kernel_k5_needs_no_expansion():
     # s=0 → 1 → 2 → 3 → 4 → t=5 plus shortcut making (2,3) undetermined.
     # Construct a synthetic upper graph where (2,3) connects D and A.
     upper = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
-    D, A, in_d, out_a = departures_arrivals(upper, 0, 5, 5)
-    assert D == {2} and A == {3}
     out_adj, in_adj = build_adjacency(upper)
+    D, A, in_d, out_a = departures_arrivals(out_adj, in_adj, 0, 5, 5)
+    assert D == {2} and A == {3}
     found = verify_kernel(out_adj, in_adj, [(2, 3)], D, A, in_d, out_a, 5, 0, 5)
     assert (2, 3) in found
 
