@@ -53,26 +53,19 @@ from pyspark.sql import SparkSession  # noqa: E402
 
 @pytest.fixture(scope="session")
 def spark() -> SparkSession:
-    """One local-mode SparkSession for the whole test session.
+    """One local-mode SparkSession for the whole test session, built as the
+    ``jobs/`` entry points build theirs (``bench_harness.make_session``:
+    Arrow on, automatic broadcast joins off, 4 shuffle partitions, AQE off).
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Automatic broadcast joins are disabled, so a join without an explicit
-    ``F.broadcast`` hint runs as a shuffle join, as it would on a graph
-    too large to broadcast; the graph dataflows hint their small sides
-    (frontiers, query tables), which this threshold does not affect.
+    pre-JVM-launch). With automatic broadcast joins off, a join without an
+    explicit ``F.broadcast`` hint runs as a shuffle join, as it would on a
+    graph too large to broadcast; the graph dataflows hint their small sides
+    (frontiers, query tables), which the threshold does not affect.
     """
-    s = (
-        SparkSession.builder.appName("repro")
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
+    from repro.bench_harness import make_session
+
+    s = make_session("repro")
     # One line in test_output.txt that tells the driver whether the
     # cgroup derivation saw the real limit (README § Spark target).
     print(

@@ -12,21 +12,24 @@ path and union the edges — is the paper's baseline family:
   combined length ≤ k — the JOIN algorithm of [27, 29] (and PathEnum's join
   mode).
 
-Both are query-batched (``qid`` column) like the EVE dataflow. Paths
-are rows ``(qid, verts: array<long>)``; path prefixes are pinned per level
-(see :mod:`repro.spark_util`). ``max_rows`` optionally guards each level
-with a driver-side count so runaway configurations can be aborted — the
-reproduction's stand-in for the paper's *INF* timeout.
+Both grow their forward prefixes with one loop, to depth ``k`` and
+``⌈k/2⌉`` respectively. Both are query-batched (``qid`` column) and run on
+a shared or a per-query edge table. Paths are rows
+``(qid, verts: array<long>)``; each function pins its own path prefixes
+per level (see :mod:`repro.spark_util`). ``max_rows`` optionally guards
+each level with a driver-side count so runaway configurations can be
+aborted — the reproduction's stand-in for the paper's *INF* timeout.
 """
 from __future__ import annotations
 
-from typing import Optional
+from functools import reduce
+from typing import Optional, Tuple
 
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.graphs.model import reverse_edges
-from repro.spark_util import no_pin
+from repro.graphs.model import join_out_edges, reverse_edges
+from repro.spark_util import DFPin
 
 
 class EnumerationBudgetExceeded(RuntimeError):
@@ -42,39 +45,64 @@ def _guard(df: DataFrame, max_rows: Optional[int], what: str) -> None:
 
 
 def _expand(paths: DataFrame, edges: DataFrame) -> DataFrame:
-    """One simple-path expansion step: extend each prefix by one edge.
-
-    ``edges`` may be a plain ``(src, dst)`` graph or a per-query
-    ``(qid, src, dst)`` edge set (Tables 4–5 run enumeration on each
-    query's reduced graph); the join matches ``qid`` in the latter case.
-    """
-    if "qid" in edges.columns:
-        e = edges.select(
-            F.col("qid").alias("eqid"), F.col("src").alias("esrc"), F.col("dst")
-        )
-        joined = paths.join(
-            e, (paths["qid"] == e["eqid"]) & (paths["cur"] == e["esrc"])
-        )
-    else:
-        joined = paths.join(edges, paths["cur"] == edges["src"])
+    """One simple-path expansion step: extend each prefix by one edge of
+    ``edges`` (a shared or a per-query graph, see
+    :func:`repro.graphs.model.join_out_edges`)."""
     return (
-        joined.where(~F.array_contains("verts", F.col("dst")))
+        join_out_edges(paths, "cur", edges)
+        .where(~F.array_contains("verts", F.col("dst")))
         .select(
-            paths["qid"],
+            "qid",
             F.col("dst").alias("cur"),
             F.concat("verts", F.array(F.col("dst"))).alias("verts"),
         )
     )
 
 
+def _prefixes(
+    edges: DataFrame,
+    queries: DataFrame,
+    k: int,
+    depth: int,
+    dist_t: Optional[DataFrame],
+    max_rows: Optional[int],
+) -> Tuple[DataFrame, DataFrame]:
+    """Simple-path prefixes from each ``s``, grown one pinned level at a
+    time to length ``depth``; a prefix that reaches ``t`` stops there.
+
+    Returns ``(paths, frontier)``: the s-t paths of length ≤ ``depth``
+    (``(qid, verts)``) and the ``(qid, cur, verts)`` prefixes of length
+    ``depth`` that have not reached ``t``. With ``dist_t``, the prefix
+    reaching ``v`` at length ``l`` is kept only if ``l + Δ(v,t) ≤ k``.
+    """
+    pin = DFPin()
+    tmap = F.broadcast(queries.select("qid", F.col("t").alias("cur")))
+    paths = queries.select(
+        "qid", F.col("s").alias("cur"), F.array(F.col("s")).alias("verts")
+    ).coalesce(1)
+    completes = []
+    for l in range(1, depth + 1):
+        ext = _expand(paths, edges)
+        if dist_t is not None:
+            keep = dist_t.where(F.col("dist") + l <= k).select(
+                "qid", F.col("v").alias("cur")
+            )
+            ext = ext.join(F.broadcast(keep), ["qid", "cur"], "left_semi")
+        ext = pin(ext)
+        _guard(ext, max_rows, f"fwd level {l}")
+        completes.append(
+            ext.join(tmap, ["qid", "cur"], "left_semi").select("qid", "verts")
+        )
+        paths = ext.join(tmap, ["qid", "cur"], "left_anti")
+    return reduce(DataFrame.unionByName, completes), paths
+
+
 def batch_enumerate_paths(
-    spark: SparkSession,
     edges: DataFrame,
     queries: DataFrame,
     k: int,
     *,
     dist_t: DataFrame,
-    pin=no_pin,
     max_rows: Optional[int] = None,
 ) -> DataFrame:
     """All k-hop-constrained s-t simple paths per query: ``(qid, verts)``.
@@ -83,37 +111,16 @@ def batch_enumerate_paths(
     enumeration index); expansion onto ``v`` at length ``l`` is pruned
     unless ``l + Δ(v,t) ≤ k``.
     """
-    tmap = F.broadcast(queries.select("qid", F.col("t").alias("cur")))
-    paths = queries.select(
-        "qid", F.col("s").alias("cur"), F.array(F.col("s")).alias("verts")
-    ).coalesce(1)
-    results = []
-    for l in range(1, k + 1):
-        ext = _expand(paths, edges)
-        keep = dist_t.where(F.col("dist") + l <= k).select(
-            "qid", F.col("v").alias("cur")
-        )
-        ext = pin(ext.join(F.broadcast(keep), ["qid", "cur"], "left_semi"))
-        _guard(ext, max_rows, f"enumeration level {l}")
-        reached = ext.join(tmap, ["qid", "cur"], "left_semi").select("qid", "verts")
-        results.append(reached)
-        if l < k:
-            paths = ext.join(tmap, ["qid", "cur"], "left_anti")
-    out = results[0]
-    for r in results[1:]:
-        out = out.unionByName(r)
-    return out
+    return _prefixes(edges, queries, k, k, dist_t, max_rows)[0]
 
 
 def batch_join_paths(
-    spark: SparkSession,
     edges: DataFrame,
     queries: DataFrame,
     k: int,
     *,
     dist_s: Optional[DataFrame] = None,
     dist_t: Optional[DataFrame] = None,
-    pin=no_pin,
     max_rows: Optional[int] = None,
 ) -> DataFrame:
     """JOIN-based enumeration: ``(qid, verts)``.
@@ -129,38 +136,13 @@ def batch_join_paths(
     """
     h1 = (k + 1) // 2
     h2 = k - h1
-    tmap = F.broadcast(queries.select("qid", F.col("t").alias("cur")))
-    smap = F.broadcast(queries.select("qid", F.col("s").alias("cur")))
-
-    # Forward prefixes.
-    paths = queries.select(
-        "qid", F.col("s").alias("cur"), F.array(F.col("s")).alias("verts")
-    ).coalesce(1)
-    completes = []
-    frontier_h1 = None
-    for l in range(1, h1 + 1):
-        ext = _expand(paths, edges)
-        if dist_t is not None:
-            keep = dist_t.where(F.col("dist") + l <= k).select(
-                "qid", F.col("v").alias("cur")
-            )
-            ext = ext.join(F.broadcast(keep), ["qid", "cur"], "left_semi")
-        ext = pin(ext)
-        _guard(ext, max_rows, f"join fwd level {l}")
-        completes.append(
-            ext.join(tmap, ["qid", "cur"], "left_semi").select("qid", "verts")
-        )
-        paths = ext.join(tmap, ["qid", "cur"], "left_anti")
-        if l == h1:
-            frontier_h1 = paths
-
-    out = completes[0]
-    for c in completes[1:]:
-        out = out.unionByName(c)
-    if h2 == 0 or frontier_h1 is None:
+    out, frontier_h1 = _prefixes(edges, queries, k, h1, dist_t, max_rows)
+    if h2 == 0:
         return out
 
     # Backward suffixes on the reversed graph, stored as [t, …, meeting].
+    pin = DFPin()
+    smap = F.broadcast(queries.select("qid", F.col("s").alias("cur")))
     rev = reverse_edges(edges)
     bpaths = queries.select(
         "qid", F.col("t").alias("cur"), F.array(F.col("t")).alias("verts")
@@ -174,13 +156,10 @@ def batch_join_paths(
             )
             ext = ext.join(F.broadcast(keep), ["qid", "cur"], "left_semi")
         ext = pin(ext)
-        _guard(ext, max_rows, f"join bwd level {l}")
+        _guard(ext, max_rows, f"bwd level {l}")
         suffixes.append(ext)
         bpaths = ext
-    bwd = suffixes[0]
-    for sfx in suffixes[1:]:
-        bwd = bwd.unionByName(sfx)
-    bwd = bwd.select(
+    bwd = reduce(DataFrame.unionByName, suffixes).select(
         F.col("qid").alias("bqid"),
         F.col("cur").alias("meet"),
         F.col("verts").alias("bverts"),

@@ -7,15 +7,16 @@ side; KHSQ⁺ — the paper's §6.7 optimisation — swaps in the adaptive
 bi-directional search of §3.3. Both are query-batched.
 
 ``G^k_st ⊇ SPG_k``: it is the coarser (cycle-containing) search-space
-reduction that Tables 4–5 compare against.
+reduction that Tables 4–5 compare against. The BFS pins its own levels, so
+callers pass only the graph, the batch and ``k``.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.graphs.bfs import batch_distance_maps
-from repro.spark_util import no_pin
+from repro.graphs.model import join_out_edges
 
 
 def gkst_edges(
@@ -28,9 +29,8 @@ def gkst_edges(
     """
     ds = dist_s.select("qid", F.col("v").alias("src"), F.col("dist").alias("ds"))
     dt = dist_t.select("qid", F.col("v").alias("dst"), F.col("dist").alias("dt"))
-    src_keys = ["qid", "src"] if "qid" in edges.columns else ["src"]
     return (
-        edges.join(F.broadcast(ds), src_keys)
+        join_out_edges(F.broadcast(ds), "src", edges)
         .join(F.broadcast(dt), ["qid", "dst"])
         .where(F.col("ds") + 1 + F.col("dt") <= k)
         .select("qid", "src", "dst")
@@ -38,20 +38,12 @@ def gkst_edges(
 
 
 def batch_gkst(
-    spark: SparkSession,
-    edges: DataFrame,
-    queries: DataFrame,
-    k: int,
-    *,
-    adaptive: bool = False,
-    pin=no_pin,
+    edges: DataFrame, queries: DataFrame, k: int, *, adaptive: bool = False
 ) -> DataFrame:
     """``G^k_st`` per query: ``(qid, src, dst)``.
 
     ``adaptive=False`` → KHSQ (plain bounded BFS each side);
     ``adaptive=True`` → KHSQ⁺ (adaptive bi-directional search).
     """
-    dist_s, dist_t = batch_distance_maps(
-        spark, edges, queries, k, adaptive=adaptive, pin=pin
-    )
+    dist_s, dist_t = batch_distance_maps(edges, queries, k, adaptive=adaptive)
     return gkst_edges(edges, dist_s, dist_t, k)

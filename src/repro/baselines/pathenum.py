@@ -11,10 +11,11 @@ closed-source C++ — see DESIGN.md §3):
 3. a join-based mode (meet-in-the-middle over the candidate subgraph) with a
    cost-based optimiser choosing between the two.
 
-Candidate restriction is enforced through the per-query distance maps: a
-vertex outside a query's ``k``-ball has no distance entry for that query,
-so every expansion step's prune join removes it — identical semantics to
-materialising per-query candidate subgraphs, in one shared dataflow.
+The index's candidate edges are a per-query ``(qid, src, dst)`` table, and
+both modes enumerate over it, so each query walks only its own candidate
+subgraph; the distance maps also prune every expansion step. The index and
+every enumeration level are pinned inside the call, so callers pass only
+the graph, the batch, ``k`` and the optional ``max_rows`` guard.
 
 The cost model is deliberately simple (documented substitution): estimate
 the candidate graph's mean out-degree ``d``; DFS explores ~``d^(k-1)``
@@ -26,12 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 
 from repro.baselines.enumeration import batch_enumerate_paths, batch_join_paths
 from repro.baselines.khsq import gkst_edges
 from repro.graphs.bfs import batch_distance_maps
-from repro.spark_util import no_pin
+from repro.spark_util import DFPin
 
 
 @dataclass
@@ -44,19 +45,12 @@ class PathEnumIndex:
     avg_out_degree: float
 
 
-def build_index(
-    spark: SparkSession,
-    edges: DataFrame,
-    queries: DataFrame,
-    k: int,
-    pin=no_pin,
-) -> PathEnumIndex:
+def build_index(edges: DataFrame, queries: DataFrame, k: int) -> PathEnumIndex:
     """Bounded BFS both ways + candidate-edge pruning (the PathEnum index)."""
-    dist_s, dist_t = batch_distance_maps(spark, edges, queries, k, pin=pin)
-    cand = pin(gkst_edges(edges, dist_s, dist_t, k))
+    dist_s, dist_t = batch_distance_maps(edges, queries, k)
+    cand = DFPin()(gkst_edges(edges, dist_s, dist_t, k))
     stats = cand.groupBy("qid", "src").count().groupBy().avg("count").collect()
-    avg_deg = float(stats[0][0] or 0.0) if stats and stats[0][0] is not None else 0.0
-    return PathEnumIndex(dist_s, dist_t, cand, avg_deg)
+    return PathEnumIndex(dist_s, dist_t, cand, float(stats[0][0] or 0.0))
 
 
 def choose_mode(avg_out_degree: float, k: int) -> str:
@@ -70,13 +64,7 @@ def choose_mode(avg_out_degree: float, k: int) -> str:
 
 
 def batch_pathenum(
-    spark: SparkSession,
-    edges: DataFrame,
-    queries: DataFrame,
-    k: int,
-    *,
-    pin=no_pin,
-    max_rows: Optional[int] = None,
+    edges: DataFrame, queries: DataFrame, k: int, *, max_rows: Optional[int] = None
 ) -> DataFrame:
     """PathEnum: all k-hop-constrained s-t simple paths ``(qid, verts)``.
 
@@ -85,16 +73,15 @@ def batch_pathenum(
     as ``edges`` — the index, candidate set and every expansion step shrink
     with it.
     """
-    idx = build_index(spark, edges, queries, k, pin=pin)
+    idx = build_index(edges, queries, k)
     # Per-query candidate edges: the expansion joins match on qid, so each
     # query only ever walks its own candidate subgraph.
     cand_edges = idx.candidate_edges
     if choose_mode(idx.avg_out_degree, k) == "join":
         return batch_join_paths(
-            spark, cand_edges, queries, k,
-            dist_s=idx.dist_s, dist_t=idx.dist_t, pin=pin, max_rows=max_rows,
+            cand_edges, queries, k,
+            dist_s=idx.dist_s, dist_t=idx.dist_t, max_rows=max_rows,
         )
     return batch_enumerate_paths(
-        spark, cand_edges, queries, k,
-        dist_t=idx.dist_t, pin=pin, max_rows=max_rows,
+        cand_edges, queries, k, dist_t=idx.dist_t, max_rows=max_rows
     )

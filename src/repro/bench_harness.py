@@ -29,7 +29,7 @@ from repro.graphs.bfs import queries_df
 from repro.graphs.datasets import dataset_edges_pdf
 from repro.graphs.generators import to_spark
 from repro.graphs.queries import random_queries
-from repro.spark_util import DFPin, tune_runtime
+from repro.spark_util import tune_runtime
 
 Edge = Tuple[int, int]
 
@@ -115,33 +115,28 @@ def run_spg_via_enumeration(
     """
     e = edges if edges is not None else w.edges
     q = queries_df(spark, w.queries)
-    pin = DFPin()
     t0 = time.perf_counter()
     try:
-        paths = enumerate_paths(spark, e, q, w.k, algo, pin=pin, max_rows=max_rows)
+        paths = enumerate_paths(e, q, w.k, algo, max_rows=max_rows)
         spg = edge_sets_from_df(paths_to_spg(paths), len(w.queries))
     except EnumerationBudgetExceeded:
         return None, time.perf_counter() - t0
-    finally:
-        pin.release()
     return spg, time.perf_counter() - t0
 
 
 def enumerate_paths(
-    spark: SparkSession,
     edges: DataFrame,
     q: DataFrame,
     k: int,
     algo: str,
     *,
-    pin,
     max_rows: Optional[int] = None,
 ) -> DataFrame:
     """Dispatch an enumeration algorithm on a (possibly per-query) graph."""
     if algo == "pathenum":
-        return batch_pathenum(spark, edges, q, k, pin=pin, max_rows=max_rows)
+        return batch_pathenum(edges, q, k, max_rows=max_rows)
     if algo == "join":
-        return batch_join_paths(spark, edges, q, k, pin=pin, max_rows=max_rows)
+        return batch_join_paths(edges, q, k, max_rows=max_rows)
     raise ValueError(f"unknown enumeration algo {algo!r}")
 
 
@@ -156,16 +151,11 @@ def run_path_enumeration(
     """Pure path-enumeration timing (Table 4): returns (#paths or None, s)."""
     e = edges if edges is not None else w.edges
     q = queries_df(spark, w.queries)
-    pin = DFPin()
     t0 = time.perf_counter()
     try:
-        n = enumerate_paths(
-            spark, e, q, w.k, algo, pin=pin, max_rows=max_rows
-        ).count()
+        n = enumerate_paths(e, q, w.k, algo, max_rows=max_rows).count()
     except EnumerationBudgetExceeded:
         return None, time.perf_counter() - t0
-    finally:
-        pin.release()
     return n, time.perf_counter() - t0
 
 
@@ -174,15 +164,10 @@ def run_gkst(
 ) -> Tuple[Dict[int, Set[Edge]], float]:
     """KHSQ / KHSQ⁺ G^k_st generation; returns (per-query edges, seconds)."""
     q = queries_df(spark, w.queries)
-    pin = DFPin()
     t0 = time.perf_counter()
-    try:
-        sets = edge_sets_from_df(
-            batch_gkst(spark, w.edges, q, w.k, adaptive=adaptive, pin=pin),
-            len(w.queries),
-        )
-    finally:
-        pin.release()
+    sets = edge_sets_from_df(
+        batch_gkst(w.edges, q, w.k, adaptive=adaptive), len(w.queries)
+    )
     return sets, time.perf_counter() - t0
 
 
@@ -207,7 +192,8 @@ def fmt_markdown_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
 
 
 def make_session(app: str, n_partitions: int = 4) -> SparkSession:
-    """Session for ``jobs/`` entrypoints (pytest uses the conftest fixture)."""
+    """Session for the ``jobs/`` entry points, the benchmark and the test
+    suite's ``spark`` fixture."""
     from repro.spark_util import ensure_session_env
 
     ensure_session_env()

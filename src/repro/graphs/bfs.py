@@ -19,6 +19,12 @@ BFS). With ``adaptive=True`` (paper §3.3, Fig. 6(a)) it runs in two phases:
 Every vertex with ``Δ(s,v) + Δ(v,t) ≤ k`` — the only vertices downstream
 consumers read (forward-looking pruning) — gets both exact distances either
 way; ``adaptive`` changes efficiency, never those distances.
+
+The edges are a shared ``(src, dst)`` table or a per-query
+``(qid, src, dst)`` table; each level meets them through
+:func:`repro.graphs.model.join_out_edges`. The search pins every level and
+fold itself (:class:`repro.spark_util.DFPin`), so callers pass only the
+graph, the batch and ``k``.
 """
 from __future__ import annotations
 
@@ -29,8 +35,8 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.graphs.model import reverse_edges
-from repro.spark_util import no_pin
+from repro.graphs.model import join_out_edges, reverse_edges
+from repro.spark_util import DFPin
 
 #: Schema for a query batch.
 QUERY_SCHEMA = "qid long, s long, t long"
@@ -47,43 +53,38 @@ def queries_df(spark: SparkSession, queries: Sequence[Tuple[int, int]]) -> DataF
 
 class _Side:
     """One search direction: its edges, per-level ``(qid, v, dist)`` tables
-    and current ``(qid, v)`` frontier."""
+    and current ``(qid, v)`` frontier. Every new level is pinned."""
 
     def __init__(self, edges: DataFrame, seeds: DataFrame) -> None:
         self.edges = edges
+        self.pin = DFPin()
         self.frontier = seeds
         self.levels = [seeds.withColumn("dist", F.lit(0).cast("int"))]
         self.depth = 0
         self.size = 1  # aggregate frontier count; only ``adaptive`` updates it
 
-    def step(self, pin, seen: Optional[DataFrame] = None) -> None:
+    def step(self, seen: Optional[DataFrame] = None) -> None:
         """Expand one level. The frontier is broadcast into the edge join (one
         map-side join + one dedup shuffle); revisited vertices ride along and
         are resolved by the ``min(dist)`` fold. ``seen`` (a ``(qid, v)``
         table) restricts the new frontier to the other side's region."""
-        frontier, e = self.frontier, self.edges
-        on = frontier["v"] == e["src"]
-        if "qid" in e.columns:  # per-query edge sets
-            e = e.select(F.col("qid").alias("eqid"), F.col("src").alias("esrc"), "dst")
-            on = (frontier["qid"] == e["eqid"]) & (frontier["v"] == e["esrc"])
         nxt = (
-            F.broadcast(frontier)
-            .join(e, on)
-            .select(frontier["qid"], F.col("dst").alias("v"))
+            join_out_edges(F.broadcast(self.frontier), "v", self.edges)
+            .select("qid", F.col("dst").alias("v"))
             .distinct()
         )
         if seen is not None:
             nxt = nxt.join(F.broadcast(seen), ["qid", "v"], "left_semi")
-        self.frontier = pin(nxt)
+        self.frontier = self.pin(nxt)
         self.depth += 1
         self.levels.append(
             self.frontier.withColumn("dist", F.lit(self.depth).cast("int"))
         )
 
-    def fold(self, pin) -> None:
+    def fold(self) -> None:
         """Collapse the levels into ``dist``, one ``min(dist)`` row per
         ``(qid, v)``; further steps expand from its deepest level."""
-        self.dist = pin(
+        self.dist = self.pin(
             reduce(DataFrame.unionByName, self.levels)
             .groupBy("qid", "v")
             .agg(F.min("dist").alias("dist"))
@@ -93,13 +94,7 @@ class _Side:
 
 
 def batch_distance_maps(
-    spark: SparkSession,
-    edges: DataFrame,
-    queries: DataFrame,
-    k: int,
-    *,
-    adaptive: bool = False,
-    pin=no_pin,
+    edges: DataFrame, queries: DataFrame, k: int, *, adaptive: bool = False
 ) -> Tuple[DataFrame, DataFrame]:
     """``(dist_from_s, dist_to_t)``, each ``(qid, v, dist)`` with one row per
     reached vertex (unreached vertices are absent, i.e. distance +∞).
@@ -114,19 +109,19 @@ def batch_distance_maps(
     if adaptive:
         while fwd.depth + bwd.depth < k and (fwd.size or bwd.size):
             side = fwd if 0 < fwd.size <= bwd.size or not bwd.size else bwd
-            side.step(pin)
+            side.step()
             # The count drives the control flow (and materialises the pin).
             side.size = side.frontier.count()
     else:
         for side in (fwd, bwd):
             while side.depth < k:
-                side.step(pin)
-    fwd.fold(pin)
-    bwd.fold(pin)
+                side.step()
+    fwd.fold()
+    bwd.fold()
     seen_f, seen_b = fwd.dist.select("qid", "v"), bwd.dist.select("qid", "v")
     for side, seen in ((fwd, seen_b), (bwd, seen_f)):
         if side.depth < k:
             while side.depth < k:
-                side.step(pin, seen)
-            side.fold(pin)
+                side.step(seen)
+            side.fold()
     return fwd.dist, bwd.dist

@@ -115,7 +115,6 @@ def grid(rows: int, cols: int) -> pd.DataFrame:
 
 #: Vertex ids for the Figure-1 example graph.
 FIG1_IDS = {"s": 0, "a": 1, "b": 2, "c": 3, "h": 4, "i": 5, "j": 6, "t": 7}
-FIG1_NAMES = {v: k for k, v in FIG1_IDS.items()}
 
 #: Edges of the Figure-1 graph, reconstructed so that every worked example in
 #: the paper holds (Fig. 5 EV tables, Examples 2.2/3.2/4.2/4.5/4.7/5.5/5.7,

@@ -6,6 +6,10 @@ simple directed graphs), but nothing deduplicates the input:
 ``eve_spg_batch`` accepts duplicate rows and :func:`adjacency` keeps them.
 Self-loops are permitted in the input and are provably never part of any
 simple path graph, so the algorithms label them failing automatically.
+
+The Spark baselines also run on a per-query ``(qid, src, dst)`` edge table
+(each query's reduced graph); :func:`join_out_edges` is the one join that
+serves both shapes.
 """
 from __future__ import annotations
 
@@ -25,6 +29,20 @@ def reverse_edges(edges: DataFrame) -> DataFrame:
     if "qid" in edges.columns:
         cols = [F.col("qid")] + cols
     return edges.select(*cols)
+
+
+def join_out_edges(df: DataFrame, key: str, edges: DataFrame) -> DataFrame:
+    """``df``'s rows, each met by the edges that leave vertex ``df[key]``:
+    ``df``'s columns plus ``dst``.
+
+    ``df`` carries a ``qid`` column. ``edges`` is a shared ``(src, dst)``
+    table or a per-query ``(qid, src, dst)`` table; in the latter case the
+    join matches ``qid`` too, so each query walks only its own edges."""
+    e = edges.withColumnsRenamed({"qid": "eqid", "src": "esrc"})
+    on = df[key] == e["esrc"]
+    if "qid" in edges.columns:
+        on = (df["qid"] == e["eqid"]) & on
+    return df.join(e, on).drop("eqid", "esrc")
 
 
 def adjacency(edges_pdf: pd.DataFrame) -> dict[int, list[int]]:

@@ -9,8 +9,9 @@ lineage with ``localCheckpoint(eager=False)``: the plan is truncated to a
 ``LogicalRDD`` immediately (planning stays O(1) per level) while computation
 is deferred, so the whole query still executes as a handful of jobs and each
 level's RDD is computed once (levels are separated by shuffle boundaries,
-which Spark's scheduler evaluates once per job). Checkpoint blocks are freed
-when the RDDs are garbage-collected after :meth:`DFPin.release`.
+which Spark's scheduler evaluates once per job). Each baseline pins its own
+levels; the returned DataFrame's lineage keeps the checkpointed RDDs it reads
+alive, and the ContextCleaner frees the blocks once they are unreachable.
 """
 from __future__ import annotations
 
@@ -68,22 +69,7 @@ def tune_runtime(spark: SparkSession, n_partitions: int = 4) -> None:
 
 
 class DFPin:
-    """Truncate lineage of per-iteration DataFrames; drop refs at release."""
-
-    def __init__(self) -> None:
-        self._held: list[DataFrame] = []
+    """Truncate the lineage of a per-iteration DataFrame (lazily)."""
 
     def __call__(self, df: DataFrame) -> DataFrame:
-        df = df.localCheckpoint(eager=False)
-        self._held.append(df)
-        return df
-
-    def release(self) -> None:
-        # localCheckpoint blocks are cleaned by the ContextCleaner once the
-        # RDDs are unreachable; dropping our references is sufficient.
-        self._held.clear()
-
-
-def no_pin(df: DataFrame) -> DataFrame:
-    """Identity pin (for callers managing materialisation themselves)."""
-    return df
+        return df.localCheckpoint(eager=False)

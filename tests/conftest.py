@@ -30,15 +30,13 @@ from repro.graphs.generators import (  # noqa: E402
 )
 from repro.graphs.model import adjacency  # noqa: E402
 from repro.graphs.queries import random_queries  # noqa: E402
-from repro.spark_util import tune_runtime  # noqa: E402
 
 Edge = Tuple[int, int]
 
 
 @pytest.fixture(scope="session")
 def gspark(spark):
-    """The session SparkSession, tuned for per-query graph dataflow."""
-    tune_runtime(spark, 4)
+    """The session SparkSession (see the root ``conftest.py``)."""
     return spark
 
 

@@ -17,10 +17,10 @@ from repro.graphs.bfs import batch_distance_maps, queries_df
 from repro.graphs.generators import random_digraph, to_spark
 from repro.graphs.model import adjacency
 from repro.graphs.queries import random_queries
-from repro.spark_util import DFPin
 
 K = 5
 N_QUERIES = 6
+ALGOS = ["pruned", "join", "pathenum", "pathenum-join"]
 
 
 @pytest.fixture(scope="module")
@@ -30,9 +30,8 @@ def bsetup(gspark):
     edges.count()
     qs = random_queries(pdf, K, N_QUERIES, seed=5)
     q = queries_df(gspark, qs)
-    pin = DFPin()
-    ds, dt = batch_distance_maps(gspark, edges, q, K, pin=pin)
-    return pdf, adjacency(pdf), edges, qs, q, ds, dt, pin
+    ds, dt = batch_distance_maps(edges, q, K)
+    return pdf, adjacency(pdf), edges, qs, q, ds, dt
 
 
 def _pathset(df):
@@ -41,63 +40,83 @@ def _pathset(df):
     }
 
 
-def _truth_paths(adj, qs):
+def _truth_paths(adj, qs, k=K):
     return {
         (i, p)
         for i, (s, t) in enumerate(qs)
-        for p in bf.simple_paths(adj, s, t, K)
+        for p in bf.simple_paths(adj, s, t, k)
     }
 
 
 @pytest.fixture(scope="module")
 def enumerated(gspark, bsetup):
-    pdf, adj, edges, qs, q, ds, dt, pin = bsetup
-    # PathEnum's JOIN mode on its own index, whatever choose_mode picks here.
-    idx = build_index(gspark, edges, q, K, pin=pin)
-    return {
-        "pruned": _pathset(
-            batch_enumerate_paths(gspark, edges, q, K, dist_t=dt, pin=pin)
-        ),
-        "join": _pathset(batch_join_paths(gspark, edges, q, K, pin=pin)),
-        "pathenum": _pathset(batch_pathenum(gspark, edges, q, K, pin=pin)),
-        "pathenum-join": _pathset(
-            batch_join_paths(
-                gspark, idx.candidate_edges, q, K,
-                dist_s=idx.dist_s, dist_t=idx.dist_t, pin=pin,
-            )
-        ),
-    }
+    """``k`` → (queries, path set per algorithm), each k computed once.
+
+    k = 1 runs JOIN without a backward half and one prefix level; k = 2 and
+    k = 3 run JOIN's even and odd split."""
+    pdf, adj, edges, *_ = bsetup
+    cache = {}
+
+    def run(k):
+        if k not in cache:
+            qs = random_queries(pdf, k, N_QUERIES, seed=5)
+            q = queries_df(gspark, qs)
+            _, dt = batch_distance_maps(edges, q, k)
+            # PathEnum's JOIN mode on its own index, whatever choose_mode picks.
+            idx = build_index(edges, q, k)
+            cache[k] = qs, {
+                "pruned": _pathset(batch_enumerate_paths(edges, q, k, dist_t=dt)),
+                "join": _pathset(batch_join_paths(edges, q, k)),
+                "pathenum": _pathset(batch_pathenum(edges, q, k)),
+                "pathenum-join": _pathset(
+                    batch_join_paths(
+                        idx.candidate_edges, q, k,
+                        dist_s=idx.dist_s, dist_t=idx.dist_t,
+                    )
+                ),
+            }
+        return cache[k]
+
+    return run
 
 
-@pytest.mark.parametrize("algo", ["pruned", "join", "pathenum", "pathenum-join"])
-def test_enumeration_matches_bruteforce(bsetup, enumerated, algo):
-    pdf, adj, edges, qs, *_ = bsetup
-    assert enumerated[algo] == _truth_paths(adj, qs), algo
+@pytest.mark.parametrize(
+    "k, algo",
+    [
+        pytest.param(k, algo, id=algo if k == K else f"{algo}-k{k}")
+        for k in (1, 2, 3, K)
+        for algo in ALGOS
+    ],
+)
+def test_enumeration_matches_bruteforce(bsetup, enumerated, k, algo):
+    adj = bsetup[1]
+    qs, paths = enumerated(k)
+    assert paths[algo] == _truth_paths(adj, qs, k), (k, algo)
 
 
-def test_paths_match_duckdb_oracle(gspark, bsetup):
+def test_paths_match_duckdb_oracle(bsetup):
     """Path sets equal DuckDB's recursive-CTE enumeration, per query."""
-    pdf, adj, edges, qs, q, ds, dt, pin = bsetup
-    paths = batch_enumerate_paths(gspark, edges, q, K, dist_t=dt, pin=pin)
+    pdf, adj, edges, qs, q, ds, dt = bsetup
+    paths = batch_enumerate_paths(edges, q, K, dist_t=dt)
     for qid, (s, t) in list(enumerate(qs))[:3]:
         got = path_strings(paths.where(f"qid = {qid}")).select("path")
         oracle.assert_equivalent(got, oracle.paths_sql(s, t, K), edges=pdf)
 
 
-def test_paths_to_spg_matches_oracle(gspark, bsetup):
+def test_paths_to_spg_matches_oracle(bsetup):
     """Baseline SPG (union of path edges) == DuckDB Definition 2.1."""
-    pdf, adj, edges, qs, q, ds, dt, pin = bsetup
+    pdf, adj, edges, qs, q, ds, dt = bsetup
     spg = paths_to_spg(
-        batch_enumerate_paths(gspark, edges, q, K, dist_t=dt, pin=pin)
+        batch_enumerate_paths(edges, q, K, dist_t=dt)
     )
     for qid, (s, t) in list(enumerate(qs))[:3]:
         got = spg.where(f"qid = {qid}").select("src", "dst")
         oracle.assert_equivalent(got, oracle.spg_sql(s, t, K), edges=pdf)
 
 
-def test_paths_to_spg_matches_bruteforce(gspark, bsetup):
-    pdf, adj, edges, qs, q, ds, dt, pin = bsetup
-    spg = paths_to_spg(batch_join_paths(gspark, edges, q, K, pin=pin)).collect()
+def test_paths_to_spg_matches_bruteforce(bsetup):
+    pdf, adj, edges, qs, q, ds, dt = bsetup
+    spg = paths_to_spg(batch_join_paths(edges, q, K)).collect()
     per = {i: set() for i in range(len(qs))}
     for r in spg:
         per[int(r["qid"])].add((int(r["src"]), int(r["dst"])))
@@ -105,11 +124,11 @@ def test_paths_to_spg_matches_bruteforce(gspark, bsetup):
         assert per[i] == bf.spg_edges(adj, s, t, K)
 
 
-def test_gkst_properties(gspark, bsetup):
+def test_gkst_properties(bsetup):
     """G^k_st: distance-characterised, superset of SPG, KHSQ == KHSQ⁺."""
-    pdf, adj, edges, qs, q, ds, dt, pin = bsetup
+    pdf, adj, edges, qs, q, ds, dt = bsetup
     radj = bf.reverse_adj(adj)
-    plain = batch_gkst(gspark, edges, q, K, pin=pin).collect()
+    plain = batch_gkst(edges, q, K).collect()
     per = {i: set() for i in range(len(qs))}
     for r in plain:
         per[int(r["qid"])].add((int(r["src"]), int(r["dst"])))
@@ -124,28 +143,26 @@ def test_gkst_properties(gspark, bsetup):
         }
         assert per[i] == want
         assert per[i] >= bf.spg_edges(adj, s, t, K)
-    adaptive = batch_gkst(gspark, edges, q, K, adaptive=True, pin=pin).collect()
+    adaptive = batch_gkst(edges, q, K, adaptive=True).collect()
     per2 = {i: set() for i in range(len(qs))}
     for r in adaptive:
         per2[int(r["qid"])].add((int(r["src"]), int(r["dst"])))
     assert per == per2
 
 
-def test_pathenum_index_and_cost_model(gspark, bsetup):
-    pdf, adj, edges, qs, q, ds, dt, pin = bsetup
-    idx = build_index(gspark, edges, q, K, pin=pin)
+def test_pathenum_index_and_cost_model(bsetup):
+    pdf, adj, edges, qs, q, ds, dt = bsetup
+    idx = build_index(edges, q, K)
     assert idx.avg_out_degree > 0
     assert choose_mode(0.5, 8) == "dfs"
     assert choose_mode(4.0, 8) == "join"
     assert choose_mode(4.0, 3) == "dfs"
 
 
-def test_budget_guard_raises(gspark, bsetup):
-    pdf, adj, edges, qs, q, ds, dt, pin = bsetup
+def test_budget_guard_raises(bsetup):
+    pdf, adj, edges, qs, q, ds, dt = bsetup
     with pytest.raises(EnumerationBudgetExceeded):
-        batch_enumerate_paths(
-            gspark, edges, q, K, dist_t=dt, pin=pin, max_rows=1
-        )
+        batch_enumerate_paths(edges, q, K, dist_t=dt, max_rows=1)
 
 
 def test_per_query_reduced_graph_enumeration(gspark, bsetup):
@@ -153,7 +170,7 @@ def test_per_query_reduced_graph_enumeration(gspark, bsetup):
     (the Table-4 'PathEnum on SPG_k' path)."""
     import pandas as pd
 
-    pdf, adj, edges, qs, q, ds, dt, pin = bsetup
+    pdf, adj, edges, qs, q, ds, dt = bsetup
     rows = []
     for i, (s, t) in enumerate(qs):
         for (u, v) in sorted(bf.spg_edges(adj, s, t, K)):
@@ -162,5 +179,5 @@ def test_per_query_reduced_graph_enumeration(gspark, bsetup):
         pd.DataFrame(rows, columns=["qid", "src", "dst"]),
         schema="qid long, src long, dst long",
     )
-    got = _pathset(batch_pathenum(gspark, per_q, q, K, pin=pin))
+    got = _pathset(batch_pathenum(per_q, q, K))
     assert got == _truth_paths(adj, qs)

@@ -9,7 +9,6 @@ from repro.graphs.bfs import batch_distance_maps, queries_df
 from repro.graphs.generators import grid, random_digraph, to_spark
 from repro.graphs.model import adjacency
 from repro.graphs.queries import random_queries
-from repro.spark_util import DFPin
 
 K = 6
 
@@ -26,7 +25,7 @@ def gsetup(gspark):
 def test_single_bfs_matches_duckdb(gspark, gsetup):
     """Single-directional BFS distances from s == DuckDB recursive SQL."""
     pdf, adj, edges, qs = gsetup
-    ds, _ = batch_distance_maps(gspark, edges, queries_df(gspark, qs[:1]), K)
+    ds, _ = batch_distance_maps(edges, queries_df(gspark, qs[:1]), K)
     got = ds.select("v", "dist")
     oracle.assert_equivalent(got, oracle.distances_sql(qs[0][0], K), edges=pdf)
 
@@ -34,7 +33,7 @@ def test_single_bfs_matches_duckdb(gspark, gsetup):
 def test_single_bfs_reversed_matches_duckdb(gspark, gsetup):
     """Single-directional BFS distances to t == DuckDB recursive SQL."""
     pdf, adj, edges, qs = gsetup
-    _, dt = batch_distance_maps(gspark, edges, queries_df(gspark, qs[:1]), K)
+    _, dt = batch_distance_maps(edges, queries_df(gspark, qs[:1]), K)
     got = dt.select("v", "dist")
     oracle.assert_equivalent(
         got, oracle.distances_sql(qs[0][1], K, reversed_=True), edges=pdf
@@ -56,13 +55,9 @@ def test_distance_maps_exact_on_k_ball(gspark, gsetup, adaptive):
 
     q = queries_df(gspark, qs)
     for graph in (edges, per_query):
-        pin = DFPin()
-        ds, dt = batch_distance_maps(
-            gspark, graph, q, K, adaptive=adaptive, pin=pin
-        )
+        ds, dt = batch_distance_maps(graph, q, K, adaptive=adaptive)
         got_s = {(int(r["qid"]), int(r["v"])): int(r["dist"]) for r in ds.collect()}
         got_t = {(int(r["qid"]), int(r["v"])): int(r["dist"]) for r in dt.collect()}
-        pin.release()
         for qid, (s, t) in enumerate(qs):
             ref_s = bfs_dist(adj, s, K)
             ref_t = bfs_dist(radj, t, K)
@@ -80,7 +75,7 @@ def test_grid_distances(gspark):
     """Deterministic check: directed grid distances are Manhattan."""
     pdf = grid(4, 5)
     edges = to_spark(gspark, pdf).repartition(1)
-    ds, _ = batch_distance_maps(gspark, edges, queries_df(gspark, [(0, 19)]), 7)
+    ds, _ = batch_distance_maps(edges, queries_df(gspark, [(0, 19)]), 7)
     got = {int(r["v"]): int(r["dist"]) for r in ds.collect()}
     for r in range(4):
         for c in range(5):
@@ -97,7 +92,7 @@ def test_per_query_edges_bfs(gspark, gsetup):
     )
     qdf = queries_df(gspark, [qs[0], qs[1]])
     per_q = gspark.createDataFrame(both, schema="qid long, src long, dst long")
-    ds, _ = batch_distance_maps(gspark, per_q, qdf, 3)
+    ds, _ = batch_distance_maps(per_q, qdf, 3)
     got = ds.collect()
     by_qid = {}
     for r in got:

@@ -1,5 +1,6 @@
 """The table drivers in ``jobs/`` and the benchmark in ``perfbench/`` import
-only what the program still has; starts no Spark job."""
+only what the program still has, and ``jobs/`` calls it with arguments its
+signatures accept; starts no Spark job."""
 import ast
 import importlib
 import importlib.util
@@ -52,3 +53,39 @@ def test_entry_points_import_existing_names():
     for attr in (*layers.LAYERS.values(), "DFPin"):
         assert hasattr(eve, attr), attr
     assert "time_phases" in inspect.signature(eve.eve_spg_batch).parameters
+
+
+def _repro_calls(path: Path):
+    """``(line, fn, call)`` for each call in the file of a name imported
+    from ``repro``."""
+    tree = ast.parse(path.read_text(), str(path))
+    names = {}
+    for module, name in _repro_imports(path):
+        if name is not None:
+            names[name] = getattr(importlib.import_module(module), name, None)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and callable(
+            names.get(node.func.id)
+        ):
+            yield node.lineno, names[node.func.id], node
+
+
+def test_jobs_calls_bind_to_current_signatures():
+    """A parameter removed from the program fails here, as a removed name
+    fails above. Calls with ``*`` or ``**`` arguments are not checked."""
+    bad, checked = [], 0
+    for path in sorted((ROOT / "jobs").glob("*.py")):
+        for line, fn, call in _repro_calls(path):
+            if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                kw.arg is None for kw in call.keywords
+            ):
+                continue
+            checked += 1
+            try:
+                inspect.signature(fn).bind(
+                    *[None] * len(call.args), **{kw.arg: None for kw in call.keywords}
+                )
+            except TypeError as e:
+                bad.append(f"{path.relative_to(ROOT)}:{line}: {fn.__name__}: {e}")
+    assert checked
+    assert not bad

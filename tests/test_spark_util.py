@@ -36,14 +36,6 @@ def test_dfpin_truncates_lineage(gspark):
     plan = df._jdf.queryExecution().analyzed().toString()
     assert plan.count("Project") <= 2
     assert df.agg({"a": "sum"}).collect()[0][0] == sum(range(10)) + 50
-    pin.release()
-
-
-def test_no_pin_is_identity(gspark):
-    import pandas as pd
-
-    df = gspark.createDataFrame(pd.DataFrame({"a": [1]}))
-    assert su.no_pin(df) is df
 
 
 def test_ensure_session_env_idempotent():
