@@ -2,48 +2,85 @@
 
 ``G^k_st`` contains every edge on *some* (not necessarily simple) s-t path
 of length ≤ k, i.e. edges ``e(u,v)`` with ``Δ(s,u) + 1 + Δ(v,t) ≤ k``.
-KHSQ computes the two distance maps with single-directional BFS from each
-side; KHSQ⁺ — the paper's §6.7 optimisation — swaps in the adaptive
-bi-directional search of §3.3. Both are query-batched.
+KHSQ computes the two distance maps with bounded BFS from each side; KHSQ⁺
+— the paper's §6.7 optimisation — swaps in the adaptive bi-directional
+search of §3.3. Each function answers one query over an adjacency dict;
+``bench_harness`` runs :func:`gkst` in Spark's Python workers.
 
 ``G^k_st ⊇ SPG_k``: it is the coarser (cycle-containing) search-space
-reduction that Tables 4–5 compare against. The BFS pins its own levels, so
-callers pass only the graph, the batch and ``k``.
+reduction that Tables 4–5 compare against. Its distance maps are also
+PathEnum's index (:mod:`repro.baselines.pathenum`).
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
+import math
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.graphs.bfs import batch_distance_maps
-from repro.graphs.model import join_out_edges
+from repro.baselines.bruteforce import Adj, reverse_adj
+from repro.core.reference import bfs_dist
+
+Edge = Tuple[int, int]
+
+
+def _expand(
+    adj: Adj, dist: Dict[int, int], frontier: List[int], depth: int,
+    region: Optional[Set[int]] = None,
+) -> List[int]:
+    """One BFS level: the vertices first reached from ``frontier`` (only
+    those in ``region``, if given), recorded in ``dist`` at ``depth``."""
+    nxt = []
+    for u in frontier:
+        for v in adj.get(u, ()):
+            if v not in dist and (region is None or v in region):
+                dist[v] = depth
+                nxt.append(v)
+    return nxt
+
+
+def distance_maps(
+    adj: Adj, s: int, t: int, k: int, *, adaptive: bool = False
+) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """``(Δ(s,·), Δ(·,t))`` up to depth ``k``; unreached vertices are absent.
+
+    ``adaptive=False`` runs bounded BFS from each side. ``adaptive=True``
+    (§3.3, Fig. 6(a)) runs in two phases: the side with the smaller frontier
+    expands next until the two depths sum to ``k``; then each side goes on
+    to depth ``k`` over the vertices the other side reached in phase 1.
+    Either way every vertex with ``Δ(s,v) + Δ(v,t) ≤ k`` gets both exact
+    distances; no distance is ever below the true one.
+    """
+    radj = reverse_adj(adj)
+    if not adaptive:
+        return bfs_dist(adj, s, k), bfs_dist(radj, t, k)
+    graphs, dists = (adj, radj), ({s: 0}, {t: 0})
+    frontiers, depths = [[s], [t]], [0, 0]
+    while sum(depths) < k and (frontiers[0] or frontiers[1]):
+        f, b = map(len, frontiers)
+        i = 0 if 0 < f <= b or not b else 1
+        depths[i] += 1
+        frontiers[i] = _expand(graphs[i], dists[i], frontiers[i], depths[i])
+    regions = [set(d) for d in dists]
+    for i in (0, 1):
+        while depths[i] < k and frontiers[i]:
+            depths[i] += 1
+            frontiers[i] = _expand(
+                graphs[i], dists[i], frontiers[i], depths[i], regions[1 - i]
+            )
+    return dists
 
 
 def gkst_edges(
-    edges: DataFrame, dist_s: DataFrame, dist_t: DataFrame, k: int
-) -> DataFrame:
-    """Edges with ``Δ(s,u) + 1 + Δ(v,t) ≤ k`` per query: ``(qid, src, dst)``.
-
-    ``dist_s``/``dist_t`` are ``(qid, v, dist)`` distance maps; ``edges`` is
-    a shared ``(src, dst)`` table or a per-query ``(qid, src, dst)`` table.
-    """
-    ds = dist_s.select("qid", F.col("v").alias("src"), F.col("dist").alias("ds"))
-    dt = dist_t.select("qid", F.col("v").alias("dst"), F.col("dist").alias("dt"))
-    return (
-        join_out_edges(F.broadcast(ds), "src", edges)
-        .join(F.broadcast(dt), ["qid", "dst"])
-        .where(F.col("ds") + 1 + F.col("dt") <= k)
-        .select("qid", "src", "dst")
-    )
+    adj: Adj, dist_s: Dict[int, int], dist_t: Dict[int, int], k: int
+) -> Set[Edge]:
+    """The edges with ``Δ(s,u) + 1 + Δ(v,t) ≤ k``."""
+    return {
+        (u, v)
+        for u, du in dist_s.items()
+        for v in adj.get(u, ())
+        if du + 1 + dist_t.get(v, math.inf) <= k
+    }
 
 
-def batch_gkst(
-    edges: DataFrame, queries: DataFrame, k: int, *, adaptive: bool = False
-) -> DataFrame:
-    """``G^k_st`` per query: ``(qid, src, dst)``.
-
-    ``adaptive=False`` → KHSQ (plain bounded BFS each side);
-    ``adaptive=True`` → KHSQ⁺ (adaptive bi-directional search).
-    """
-    dist_s, dist_t = batch_distance_maps(edges, queries, k, adaptive=adaptive)
-    return gkst_edges(edges, dist_s, dist_t, k)
+def gkst(adj: Adj, s: int, t: int, k: int, *, adaptive: bool = False) -> Set[Edge]:
+    """``G^k_st`` of one query: KHSQ, or KHSQ⁺ with ``adaptive=True``."""
+    return gkst_edges(adj, *distance_maps(adj, s, t, k, adaptive=adaptive), k)

@@ -11,11 +11,8 @@ closed-source C++ — see DESIGN.md §3):
 3. a join-based mode (meet-in-the-middle over the candidate subgraph) with a
    cost-based optimiser choosing between the two.
 
-The index's candidate edges are a per-query ``(qid, src, dst)`` table, and
-both modes enumerate over it, so each query walks only its own candidate
-subgraph; the distance maps also prune every expansion step. The index and
-every enumeration level are pinned inside the call, so callers pass only
-the graph, the batch, ``k`` and the optional ``max_rows`` guard.
+Everything is per query: :func:`pathenum_paths` builds the query's index,
+picks its mode and enumerates over its candidate adjacency.
 
 The cost model is deliberately simple (documented substitution): estimate
 the candidate graph's mean out-degree ``d``; DFS explores ~``d^(k-1)``
@@ -24,33 +21,24 @@ mode wins once ``k`` and ``d`` are large.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, List, Optional, Tuple
 
-from pyspark.sql import DataFrame
-
-from repro.baselines.enumeration import batch_enumerate_paths, batch_join_paths
-from repro.baselines.khsq import gkst_edges
-from repro.graphs.bfs import batch_distance_maps
-from repro.spark_util import DFPin
+from repro.baselines.bruteforce import Adj
+from repro.baselines.enumeration import Path, dfs_paths, join_paths
+from repro.baselines.khsq import distance_maps, gkst_edges
 
 
-@dataclass
-class PathEnumIndex:
-    """The lightweight online index: per-query distance maps + candidates."""
-
-    dist_s: DataFrame
-    dist_t: DataFrame
-    candidate_edges: DataFrame  # (qid, src, dst)
-    avg_out_degree: float
-
-
-def build_index(edges: DataFrame, queries: DataFrame, k: int) -> PathEnumIndex:
-    """Bounded BFS both ways + candidate-edge pruning (the PathEnum index)."""
-    dist_s, dist_t = batch_distance_maps(edges, queries, k)
-    cand = DFPin()(gkst_edges(edges, dist_s, dist_t, k))
-    stats = cand.groupBy("qid", "src").count().groupBy().avg("count").collect()
-    return PathEnumIndex(dist_s, dist_t, cand, float(stats[0][0] or 0.0))
+def build_index(
+    adj: Adj, s: int, t: int, k: int
+) -> Tuple[Adj, Dict[int, int], Dict[int, int]]:
+    """The lightweight online index: ``(candidates, dist_s, dist_t)``, the
+    adjacency of the candidate edges and the bounded BFS maps that pick
+    them."""
+    dist_s, dist_t = distance_maps(adj, s, t, k)
+    cand: Adj = {}
+    for u, v in gkst_edges(adj, dist_s, dist_t, k):
+        cand.setdefault(u, []).append(v)
+    return cand, dist_s, dist_t
 
 
 def choose_mode(avg_out_degree: float, k: int) -> str:
@@ -63,25 +51,20 @@ def choose_mode(avg_out_degree: float, k: int) -> str:
     return "join" if dfs_cost > join_cost else "dfs"
 
 
-def batch_pathenum(
-    edges: DataFrame, queries: DataFrame, k: int, *, max_rows: Optional[int] = None
-) -> DataFrame:
-    """PathEnum: all k-hop-constrained s-t simple paths ``(qid, verts)``.
+def pathenum_paths(
+    adj: Adj, s: int, t: int, k: int, *, max_rows: Optional[int] = None
+) -> Optional[List[Path]]:
+    """PathEnum: all simple s-t paths with ≤ k edges, or ``None`` over
+    ``max_rows``.
 
-    :func:`choose_mode` picks DFS or JOIN mode from the index. Running
-    "PathEnum on SPG_k / G^k_st" (Tables 4–5) just passes the reduced graph
-    as ``edges`` — the index, candidate set and every expansion step shrink
-    with it.
+    :func:`choose_mode` picks DFS or JOIN mode from the mean out-degree of
+    the query's candidate edges. "PathEnum on SPG_k / G^k_st" (Tables 4–5)
+    just passes the reduced graph as ``adj``.
     """
-    idx = build_index(edges, queries, k)
-    # Per-query candidate edges: the expansion joins match on qid, so each
-    # query only ever walks its own candidate subgraph.
-    cand_edges = idx.candidate_edges
-    if choose_mode(idx.avg_out_degree, k) == "join":
-        return batch_join_paths(
-            cand_edges, queries, k,
-            dist_s=idx.dist_s, dist_t=idx.dist_t, max_rows=max_rows,
+    cand, dist_s, dist_t = build_index(adj, s, t, k)
+    avg_out_degree = sum(map(len, cand.values())) / len(cand) if cand else 0.0
+    if choose_mode(avg_out_degree, k) == "join":
+        return join_paths(
+            cand, s, t, k, dist_s=dist_s, dist_t=dist_t, max_rows=max_rows
         )
-    return batch_enumerate_paths(
-        cand_edges, queries, k, dist_t=idx.dist_t, max_rows=max_rows
-    )
+    return dfs_paths(cand, s, t, k, dist_t=dist_t, max_rows=max_rows)

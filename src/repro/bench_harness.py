@@ -5,31 +5,29 @@ algorithm end-to-end (driver wall clock including result materialisation,
 the same protocol for every contender), and formats paper-style tables.
 
 Every run works on one *batch* of queries per (dataset, k) cell — the
-dataflow analogue of the paper's 1000-random-query totals (query counts are
-scaled down for laptop Spark; see DESIGN.md §3).
+analogue of the paper's 1000-random-query totals (query counts are scaled
+down for laptop Spark; see DESIGN.md §3). Every contender runs the same way:
+a per-query kernel over the broadcast graph, in Spark's Python workers
+(:func:`repro.spark_util.map_queries`).
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.baselines.enumeration import (
-    EnumerationBudgetExceeded,
-    batch_join_paths,
-    paths_to_spg,
-)
-from repro.baselines.khsq import batch_gkst
-from repro.baselines.pathenum import batch_pathenum
+from repro.baselines.enumeration import join_paths
+from repro.baselines.khsq import gkst
+from repro.baselines.pathenum import pathenum_paths
 from repro.core.eve import EveResult, eve_spg_batch
-from repro.graphs.bfs import queries_df
+from repro.core.verify import build_adjacency
 from repro.graphs.datasets import dataset_edges_pdf
 from repro.graphs.generators import to_spark
 from repro.graphs.queries import random_queries
-from repro.spark_util import tune_runtime
+from repro.spark_util import map_queries, tune_runtime
 
 Edge = Tuple[int, int]
 
@@ -62,32 +60,30 @@ def make_workload(
     return Workload(name=name, k=k, edges_pdf=pdf, edges=edges, queries=qs)
 
 
-def edge_sets_from_df(df: DataFrame, n_queries: int) -> Dict[int, Set[Edge]]:
-    """Collect a ``(qid, src, dst)`` DataFrame into per-query edge sets."""
-    out: Dict[int, Set[Edge]] = {i: set() for i in range(n_queries)}
-    for r in df.collect():
-        out[int(r["qid"])].add((int(r["src"]), int(r["dst"])))
-    return out
-
-
-def qid_edges_df(
-    spark: SparkSession, mapping: Dict[int, Set[Edge]]
-) -> DataFrame:
-    """Per-query edge sets back to a ``(qid, src, dst)`` DataFrame."""
-    rows = [
-        (qid, u, v) for qid, es in sorted(mapping.items()) for u, v in sorted(es)
-    ]
-    pdf = pd.DataFrame(rows, columns=["qid", "src", "dst"])
-    if pdf.empty:
-        pdf = pd.DataFrame(
-            {c: pd.Series(dtype="int64") for c in ("qid", "src", "dst")}
-        )
-    return spark.createDataFrame(pdf, schema="qid long, src long, dst long")
-
-
 # ---------------------------------------------------------------------------
-# Timed runners. Each returns (per-query SPG/path-edge sets, seconds).
+# Timed runners. Each answers every query of the workload through
+# ``map_queries`` (two Spark jobs) and returns (answers, seconds).
 # ---------------------------------------------------------------------------
+
+def _per_query(
+    spark: SparkSession,
+    w: Workload,
+    kernel: Callable,
+    reduced: Optional[Sequence[Set[Edge]]] = None,
+) -> List:
+    """``kernel(adj, s, t)`` for each query of ``w``, in query order.
+
+    ``adj`` is the workload's graph, or with ``reduced`` the query's own
+    edge set (Table 4/5's "on G^k_st / on SPG_k"), which travels inside the
+    query's item instead of a broadcast.
+    """
+    if reduced is None:
+        return map_queries(spark, w.queries, lambda adj, st: kernel(adj, *st), w.edges)
+    items = [(s, t, es) for (s, t), es in zip(w.queries, reduced)]
+    return map_queries(
+        spark, items, lambda _, item: kernel(build_adjacency(item[2])[0], *item[:2])
+    )
+
 
 def run_eve(
     spark: SparkSession, w: Workload, **opts
@@ -98,46 +94,49 @@ def run_eve(
     return results, time.perf_counter() - t0
 
 
+def _enumerate(
+    spark: SparkSession,
+    w: Workload,
+    algo: str,
+    summary: Callable,
+    reduced: Optional[Sequence[Set[Edge]]],
+    max_rows: Optional[int],
+) -> List:
+    """``summary`` of each query's path list, or ``None`` for a query that
+    makes more than ``max_rows`` path prefixes; ``algo`` ∈ {"join",
+    "pathenum"}."""
+    enumerate_ = {"join": join_paths, "pathenum": pathenum_paths}[algo]
+    k = w.k
+
+    def kernel(adj, s, t):
+        paths = enumerate_(adj, s, t, k, max_rows=max_rows)
+        return None if paths is None else summary(paths)
+
+    return _per_query(spark, w, kernel, reduced)
+
+
 def run_spg_via_enumeration(
     spark: SparkSession,
     w: Workload,
     algo: str,
     *,
-    edges: Optional[DataFrame] = None,
+    reduced: Optional[Sequence[Set[Edge]]] = None,
     max_rows: Optional[int] = None,
-) -> Tuple[Optional[Dict[int, Set[Edge]]], float]:
+) -> Tuple[Optional[List[Set[Edge]]], float]:
     """Baseline SPG generation: enumerate all paths, union their edges.
 
-    ``algo`` ∈ {"join", "pathenum"}. ``edges`` overrides the search
-    graph (e.g. a per-query ``(qid, src, dst)`` reduced graph for Table 5).
-    Returns ``(None, elapsed)`` when the ``max_rows`` budget is exceeded —
-    the INF entries of Figure 8.
+    ``algo`` ∈ {"join", "pathenum"}; ``reduced`` gives each query its own
+    search graph (e.g. its ``G^k_st`` for Table 5). Returns
+    ``(None, elapsed)`` when a query makes more than ``max_rows`` path
+    prefixes — the INF entries of Figure 8.
     """
-    e = edges if edges is not None else w.edges
-    q = queries_df(spark, w.queries)
     t0 = time.perf_counter()
-    try:
-        paths = enumerate_paths(e, q, w.k, algo, max_rows=max_rows)
-        spg = edge_sets_from_df(paths_to_spg(paths), len(w.queries))
-    except EnumerationBudgetExceeded:
-        return None, time.perf_counter() - t0
-    return spg, time.perf_counter() - t0
-
-
-def enumerate_paths(
-    edges: DataFrame,
-    q: DataFrame,
-    k: int,
-    algo: str,
-    *,
-    max_rows: Optional[int] = None,
-) -> DataFrame:
-    """Dispatch an enumeration algorithm on a (possibly per-query) graph."""
-    if algo == "pathenum":
-        return batch_pathenum(edges, q, k, max_rows=max_rows)
-    if algo == "join":
-        return batch_join_paths(edges, q, k, max_rows=max_rows)
-    raise ValueError(f"unknown enumeration algo {algo!r}")
+    spgs = _enumerate(
+        spark, w, algo,
+        lambda paths: {e for p in paths for e in zip(p, p[1:])},
+        reduced, max_rows,
+    )
+    return (None if None in spgs else spgs), time.perf_counter() - t0
 
 
 def run_path_enumeration(
@@ -145,29 +144,22 @@ def run_path_enumeration(
     w: Workload,
     algo: str,
     *,
-    edges: Optional[DataFrame] = None,
+    reduced: Optional[Sequence[Set[Edge]]] = None,
     max_rows: Optional[int] = None,
 ) -> Tuple[Optional[int], float]:
     """Pure path-enumeration timing (Table 4): returns (#paths or None, s)."""
-    e = edges if edges is not None else w.edges
-    q = queries_df(spark, w.queries)
     t0 = time.perf_counter()
-    try:
-        n = enumerate_paths(e, q, w.k, algo, max_rows=max_rows).count()
-    except EnumerationBudgetExceeded:
-        return None, time.perf_counter() - t0
-    return n, time.perf_counter() - t0
+    counts = _enumerate(spark, w, algo, len, reduced, max_rows)
+    return (None if None in counts else sum(counts)), time.perf_counter() - t0
 
 
 def run_gkst(
     spark: SparkSession, w: Workload, *, adaptive: bool
-) -> Tuple[Dict[int, Set[Edge]], float]:
+) -> Tuple[List[Set[Edge]], float]:
     """KHSQ / KHSQ⁺ G^k_st generation; returns (per-query edges, seconds)."""
-    q = queries_df(spark, w.queries)
+    k = w.k
     t0 = time.perf_counter()
-    sets = edge_sets_from_df(
-        batch_gkst(w.edges, q, w.k, adaptive=adaptive), len(w.queries)
-    )
+    sets = _per_query(spark, w, lambda adj, s, t: gkst(adj, s, t, k, adaptive=adaptive))
     return sets, time.perf_counter() - t0
 
 

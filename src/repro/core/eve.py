@@ -7,17 +7,13 @@ paper's protocol is a batch of independent random queries (§6.1). So
 propagation → Algorithm 2 labeling → Algorithm 3 verification — once per
 query, inside Spark's Python workers:
 
-1. collect the ``(src, dst)`` edges once per call and broadcast their
-   adjacency dict;
-2. spread the ``(s, t)`` pairs over ``min(Q, defaultParallelism)``
-   partitions of an RDD;
-3. ``map`` each pair to its ``reference_eve`` answer on the broadcast
-   graph, and ``collect`` the answers, which come back in query order.
-
-The step uses the RDD API because its input and output are Python objects
-(query pairs, edge sets, phase times), not relations. A batch is two Spark
-jobs (the edge collect and the answer collect). The graph must fit in one
-Python worker; see DESIGN.md "Layering".
+the shared runner :func:`repro.spark_util.map_queries` broadcasts the
+adjacency of the ``(src, dst)`` edges, maps each ``(s, t)`` pair to its
+``reference_eve`` answer on the broadcast graph and collects the answers in
+query order. The step uses the RDD API because its input and output are
+Python objects (query pairs, edge sets, phase times), not relations. A
+batch is two Spark jobs (the edge collect and the answer collect). The
+graph must fit in one Python worker; see DESIGN.md "Layering".
 """
 from __future__ import annotations
 
@@ -29,7 +25,7 @@ from pyspark.sql import DataFrame, SparkSession
 from repro import spark_util
 from repro.core.reference import bfs_dist, ev_tables, label_edge, reference_eve
 from repro.core.verify import verify_query
-from repro.graphs.model import EDGE_SCHEMA, adjacency
+from repro.graphs.model import EDGE_SCHEMA
 
 Edge = Tuple[int, int]
 
@@ -95,18 +91,12 @@ def eve_spg_batch(
     pairs = [(int(s), int(t)) for s, t in query_pairs]
     if any(s == t for s, t in pairs):
         raise ValueError("query requires s != t")
-    sc = spark.sparkContext
-    graph = sc.broadcast(adjacency(edges.select("src", "dst").toPandas()))
-    try:
-        answers = (
-            sc.parallelize(pairs, max(1, min(len(pairs), sc.defaultParallelism)))
-            .map(lambda st: reference_eve(
-                graph.value, *st, k, prune=prune, order=order
-            ))
-            .collect()
-        )
-    finally:
-        graph.destroy()
+    answers = spark_util.map_queries(
+        spark,
+        pairs,
+        lambda adj, st: reference_eve(adj, *st, k, prune=prune, order=order),
+        edges,
+    )
 
     # The queries of a batch share most of their edges, and callers keep many
     # results: every result refers to one tuple per distinct edge. Popping

@@ -1,25 +1,24 @@
-"""Spark helpers for iterative dataflow.
+"""Spark helpers: session set-up and the one way a batch of queries runs.
 
-Iterative algorithms (BFS levels, path-enumeration levels) reference each
-iteration's DataFrame more than once (next iteration + final union); left
-lazy, the *logical plan* re-expands the whole upstream chain at every
-reference, which is exponential in the number of iterations — Catalyst
-analysis alone becomes the bottleneck. :class:`DFPin` cuts each iteration's
-lineage with ``localCheckpoint(eager=False)``: the plan is truncated to a
-``LogicalRDD`` immediately (planning stays O(1) per level) while computation
-is deferred, so the whole query still executes as a handful of jobs and each
-level's RDD is computed once (levels are separated by shuffle boundaries,
-which Spark's scheduler evaluates once per job). Each baseline pins its own
-levels; the returned DataFrame's lineage keeps the checkpointed RDDs it reads
-alive, and the ContextCleaner frees the blocks once they are unreachable.
+Every contender (EVE and the baselines of §6) answers one query on one
+machine, so Spark parallelises over queries. :func:`map_queries` broadcasts
+the graph's adjacency, runs a per-query Python kernel over the query items
+in Spark's Python workers and collects the answers in query order: two
+Spark jobs per call, whatever the number of queries.
+
+:class:`DFPin` (lazy ``localCheckpoint`` of an iterative DataFrame) has no
+caller in the program; the benchmark's per-layer tracer subclasses it.
 """
 from __future__ import annotations
 
 import os
 import shlex
 from pathlib import Path
+from typing import Any, Callable, List, Optional, Sequence
 
 from pyspark.sql import DataFrame, SparkSession
+
+from repro.graphs.model import adjacency
 
 
 def ensure_session_env() -> None:
@@ -68,8 +67,39 @@ def tune_runtime(spark: SparkSession, n_partitions: int = 4) -> None:
     spark.conf.set("spark.sql.adaptive.enabled", "false")
 
 
+def map_queries(
+    spark: SparkSession,
+    items: Sequence,
+    kernel: Callable[[Optional[dict], Any], Any],
+    edges: Optional[DataFrame] = None,
+) -> List:
+    """``kernel(adj, item)`` for every item, run in Spark's Python workers;
+    the answers come back in the items' order.
+
+    ``adj`` is the out-adjacency dict of ``edges`` (``src`` and ``dst``
+    columns), collected once per call and broadcast to the workers; without
+    ``edges`` nothing is broadcast and ``adj`` is ``None`` (each item then
+    carries its own graph). The items are spread over
+    ``min(len(items), defaultParallelism)`` partitions, and the call is two
+    Spark jobs: the edge collect and the answer collect.
+    """
+    sc = spark.sparkContext
+    graph = None
+    if edges is not None:
+        graph = sc.broadcast(adjacency(edges.select("src", "dst").toPandas()))
+    try:
+        return (
+            sc.parallelize(items, max(1, min(len(items), sc.defaultParallelism)))
+            .map(lambda item: kernel(graph.value if graph is not None else None, item))
+            .collect()
+        )
+    finally:
+        if graph is not None:
+            graph.destroy()
+
+
 class DFPin:
-    """Truncate the lineage of a per-iteration DataFrame (lazily)."""
+    """Truncate the lineage of a DataFrame (lazily)."""
 
     def __call__(self, df: DataFrame) -> DataFrame:
         return df.localCheckpoint(eager=False)

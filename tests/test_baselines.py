@@ -1,83 +1,47 @@
-"""Path-enumeration baselines and KHSQ vs brute force + DuckDB oracle."""
+"""Path-enumeration baselines and KHSQ vs brute force + DuckDB oracle.
+
+The baselines are per-query kernels over an adjacency dict, so these tests
+call them without Spark; ``test_harness`` and ``test_eve_end2end`` run them
+through the Spark runner."""
+import duckdb
 import pytest
 
 from repro import oracle
 from repro.baselines import bruteforce as bf
-from repro.baselines.enumeration import (
-    EnumerationBudgetExceeded,
-    batch_enumerate_paths,
-    batch_join_paths,
-    path_strings,
-    paths_to_spg,
-)
-from repro.baselines.khsq import batch_gkst
-from repro.baselines.pathenum import batch_pathenum, build_index, choose_mode
+from repro.baselines.enumeration import dfs_paths, join_paths
+from repro.baselines.khsq import gkst
+from repro.baselines.pathenum import build_index, choose_mode, pathenum_paths
 from repro.core.reference import bfs_dist
-from repro.graphs.bfs import batch_distance_maps, queries_df
-from repro.graphs.generators import random_digraph, to_spark
+from repro.graphs.generators import random_digraph
 from repro.graphs.model import adjacency
 from repro.graphs.queries import random_queries
 
 K = 5
 N_QUERIES = 6
-ALGOS = ["pruned", "join", "pathenum", "pathenum-join"]
-
-
 @pytest.fixture(scope="module")
-def bsetup(gspark):
+def bsetup():
     pdf = random_digraph("er", 90, 3.5, seed=77)
-    edges = to_spark(gspark, pdf).repartition(1).cache()
-    edges.count()
-    qs = random_queries(pdf, K, N_QUERIES, seed=5)
-    q = queries_df(gspark, qs)
-    ds, dt = batch_distance_maps(edges, q, K)
-    return pdf, adjacency(pdf), edges, qs, q, ds, dt
+    adj = adjacency(pdf)
+    return pdf, adj, bf.reverse_adj(adj), random_queries(pdf, K, N_QUERIES, seed=5)
 
 
-def _pathset(df):
-    return {
-        (int(r["qid"]), tuple(int(x) for x in r["verts"])) for r in df.collect()
-    }
+def _pruned(adj, s, t, k, **kw):
+    """PathEnum's DFS mode on the whole graph, indexed by plain BFS to t."""
+    return dfs_paths(adj, s, t, k, dist_t=bfs_dist(bf.reverse_adj(adj), t, k), **kw)
 
 
-def _truth_paths(adj, qs, k=K):
-    return {
-        (i, p)
-        for i, (s, t) in enumerate(qs)
-        for p in bf.simple_paths(adj, s, t, k)
-    }
+def _pathenum_join(adj, s, t, k, **kw):
+    """PathEnum's JOIN mode on its own index, whatever choose_mode picks."""
+    cand, dist_s, dist_t = build_index(adj, s, t, k)
+    return join_paths(cand, s, t, k, dist_s=dist_s, dist_t=dist_t, **kw)
 
 
-@pytest.fixture(scope="module")
-def enumerated(gspark, bsetup):
-    """``k`` → (queries, path set per algorithm), each k computed once.
-
-    k = 1 runs JOIN without a backward half and one prefix level; k = 2 and
-    k = 3 run JOIN's even and odd split."""
-    pdf, adj, edges, *_ = bsetup
-    cache = {}
-
-    def run(k):
-        if k not in cache:
-            qs = random_queries(pdf, k, N_QUERIES, seed=5)
-            q = queries_df(gspark, qs)
-            _, dt = batch_distance_maps(edges, q, k)
-            # PathEnum's JOIN mode on its own index, whatever choose_mode picks.
-            idx = build_index(edges, q, k)
-            cache[k] = qs, {
-                "pruned": _pathset(batch_enumerate_paths(edges, q, k, dist_t=dt)),
-                "join": _pathset(batch_join_paths(edges, q, k)),
-                "pathenum": _pathset(batch_pathenum(edges, q, k)),
-                "pathenum-join": _pathset(
-                    batch_join_paths(
-                        idx.candidate_edges, q, k,
-                        dist_s=idx.dist_s, dist_t=idx.dist_t,
-                    )
-                ),
-            }
-        return cache[k]
-
-    return run
+ENUMERATE = {
+    "pruned": _pruned,
+    "join": join_paths,
+    "pathenum": pathenum_paths,
+    "pathenum-join": _pathenum_join,
+}
 
 
 @pytest.mark.parametrize(
@@ -85,55 +49,59 @@ def enumerated(gspark, bsetup):
     [
         pytest.param(k, algo, id=algo if k == K else f"{algo}-k{k}")
         for k in (1, 2, 3, K)
-        for algo in ALGOS
+        for algo in ENUMERATE
     ],
 )
-def test_enumeration_matches_bruteforce(bsetup, enumerated, k, algo):
-    adj = bsetup[1]
-    qs, paths = enumerated(k)
-    assert paths[algo] == _truth_paths(adj, qs, k), (k, algo)
+def test_enumeration_matches_bruteforce(bsetup, k, algo):
+    """k = 1 runs JOIN without a backward half and one prefix level; k = 2
+    and k = 3 run JOIN's even and odd split. Every path comes once."""
+    pdf, adj, _, _ = bsetup
+    for s, t in random_queries(pdf, k, N_QUERIES, seed=5):
+        paths = ENUMERATE[algo](adj, s, t, k)
+        assert len(paths) == len(set(paths))
+        assert set(paths) == set(bf.simple_paths(adj, s, t, k)), (k, algo, s, t)
+
+
+def _duckdb(sql, pdf):
+    con = duckdb.connect()
+    try:
+        con.register("edges", pdf)
+        return con.execute(sql).fetchall()
+    finally:
+        con.close()
 
 
 def test_paths_match_duckdb_oracle(bsetup):
     """Path sets equal DuckDB's recursive-CTE enumeration, per query."""
-    pdf, adj, edges, qs, q, ds, dt = bsetup
-    paths = batch_enumerate_paths(edges, q, K, dist_t=dt)
-    for qid, (s, t) in list(enumerate(qs))[:3]:
-        got = path_strings(paths.where(f"qid = {qid}")).select("path")
-        oracle.assert_equivalent(got, oracle.paths_sql(s, t, K), edges=pdf)
+    pdf, adj, _, qs = bsetup
+    for s, t in qs[:3]:
+        got = {"-".join(map(str, p)) for p in _pruned(adj, s, t, K)}
+        assert got == {r[0] for r in _duckdb(oracle.paths_sql(s, t, K), pdf)}
+
+
+def _edges(paths):
+    return {e for p in paths for e in zip(p, p[1:])}
 
 
 def test_paths_to_spg_matches_oracle(bsetup):
     """Baseline SPG (union of path edges) == DuckDB Definition 2.1."""
-    pdf, adj, edges, qs, q, ds, dt = bsetup
-    spg = paths_to_spg(
-        batch_enumerate_paths(edges, q, K, dist_t=dt)
-    )
-    for qid, (s, t) in list(enumerate(qs))[:3]:
-        got = spg.where(f"qid = {qid}").select("src", "dst")
-        oracle.assert_equivalent(got, oracle.spg_sql(s, t, K), edges=pdf)
+    pdf, adj, _, qs = bsetup
+    for s, t in qs[:3]:
+        want = {(int(u), int(v)) for u, v in _duckdb(oracle.spg_sql(s, t, K), pdf)}
+        assert _edges(_pruned(adj, s, t, K)) == want
 
 
 def test_paths_to_spg_matches_bruteforce(bsetup):
-    pdf, adj, edges, qs, q, ds, dt = bsetup
-    spg = paths_to_spg(batch_join_paths(edges, q, K)).collect()
-    per = {i: set() for i in range(len(qs))}
-    for r in spg:
-        per[int(r["qid"])].add((int(r["src"]), int(r["dst"])))
-    for i, (s, t) in enumerate(qs):
-        assert per[i] == bf.spg_edges(adj, s, t, K)
+    pdf, adj, _, qs = bsetup
+    for s, t in qs:
+        assert _edges(join_paths(adj, s, t, K)) == bf.spg_edges(adj, s, t, K)
 
 
 def test_gkst_properties(bsetup):
     """G^k_st: distance-characterised, superset of SPG, KHSQ == KHSQ⁺."""
-    pdf, adj, edges, qs, q, ds, dt = bsetup
-    radj = bf.reverse_adj(adj)
-    plain = batch_gkst(edges, q, K).collect()
-    per = {i: set() for i in range(len(qs))}
-    for r in plain:
-        per[int(r["qid"])].add((int(r["src"]), int(r["dst"])))
+    pdf, adj, radj, qs = bsetup
     all_edges = set(zip(pdf["src"], pdf["dst"]))
-    for i, (s, t) in enumerate(qs):
+    for s, t in qs:
         d_s = bfs_dist(adj, s, K)
         d_t = bfs_dist(radj, t, K)
         want = {
@@ -141,43 +109,41 @@ def test_gkst_properties(bsetup):
             for (u, v) in all_edges
             if d_s.get(u, 99) + 1 + d_t.get(v, 99) <= K
         }
-        assert per[i] == want
-        assert per[i] >= bf.spg_edges(adj, s, t, K)
-    adaptive = batch_gkst(edges, q, K, adaptive=True).collect()
-    per2 = {i: set() for i in range(len(qs))}
-    for r in adaptive:
-        per2[int(r["qid"])].add((int(r["src"]), int(r["dst"])))
-    assert per == per2
+        plain = gkst(adj, s, t, K)
+        assert plain == want
+        assert plain >= bf.spg_edges(adj, s, t, K)
+        assert gkst(adj, s, t, K, adaptive=True) == plain
 
 
 def test_pathenum_index_and_cost_model(bsetup):
-    pdf, adj, edges, qs, q, ds, dt = bsetup
-    idx = build_index(edges, q, K)
-    assert idx.avg_out_degree > 0
+    pdf, adj, _, qs = bsetup
+    s, t = qs[0]
+    cand, dist_s, dist_t = build_index(adj, s, t, K)
+    assert set(cand) and all(dist_s[u] + 1 + dist_t[v] <= K
+                             for u, vs in cand.items() for v in vs)
     assert choose_mode(0.5, 8) == "dfs"
     assert choose_mode(4.0, 8) == "join"
     assert choose_mode(4.0, 3) == "dfs"
 
 
-def test_budget_guard_raises(bsetup):
-    pdf, adj, edges, qs, q, ds, dt = bsetup
-    with pytest.raises(EnumerationBudgetExceeded):
-        batch_enumerate_paths(edges, q, K, dist_t=dt, max_rows=1)
+def test_budget_returns_none(bsetup):
+    """A query that makes more than ``max_rows`` path prefixes answers
+    ``None`` (the INF of the tables); a budget it stays within changes
+    nothing."""
+    pdf, adj, _, qs = bsetup
+    s, t = qs[0]
+    want = set(bf.simple_paths(adj, s, t, K))
+    for algo, enumerate_ in ENUMERATE.items():
+        assert enumerate_(adj, s, t, K, max_rows=1) is None, algo
+        assert set(enumerate_(adj, s, t, K, max_rows=10**6)) == want, algo
 
 
-def test_per_query_reduced_graph_enumeration(gspark, bsetup):
-    """Enumeration on per-query (qid,src,dst) SPG graphs == full-graph runs
-    (the Table-4 'PathEnum on SPG_k' path)."""
-    import pandas as pd
-
-    pdf, adj, edges, qs, q, ds, dt = bsetup
-    rows = []
-    for i, (s, t) in enumerate(qs):
-        for (u, v) in sorted(bf.spg_edges(adj, s, t, K)):
-            rows.append((i, u, v))
-    per_q = gspark.createDataFrame(
-        pd.DataFrame(rows, columns=["qid", "src", "dst"]),
-        schema="qid long, src long, dst long",
-    )
-    got = _pathset(batch_pathenum(per_q, q, K))
-    assert got == _truth_paths(adj, qs)
+def test_per_query_reduced_graph_enumeration(bsetup):
+    """Enumeration on each query's own SPG == enumeration on the whole
+    graph (the Table-4 'PathEnum on SPG_k' path)."""
+    pdf, adj, _, qs = bsetup
+    for s, t in qs:
+        spg = {}
+        for u, v in sorted(bf.spg_edges(adj, s, t, K)):
+            spg.setdefault(u, []).append(v)
+        assert set(pathenum_paths(spg, s, t, K)) == set(bf.simple_paths(adj, s, t, K))

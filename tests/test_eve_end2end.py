@@ -10,6 +10,7 @@ session-scoped ``eve_cases`` fixture; the tests here fan out per query.
 import pandas as pd
 import pytest
 
+from repro import bench_harness as H
 from repro import oracle
 from repro.baselines import bruteforce as bf
 from repro.core.eve import eve_spg_batch
@@ -157,8 +158,25 @@ def test_timings_keys_do_not_depend_on_time_phases(gspark, fig1_edges, k):
             assert all(sec >= 0 for sec in res.timings.values())
 
 
-def test_empty_batch(gspark, fig1_edges):
-    assert eve_spg_batch(gspark, fig1_edges, [], 5) == []
+# Every contender's runner, as per-query edge sets: the SPG for EVE, JOIN
+# and PathEnum, G^k_st (a superset) for KHSQ and KHSQ⁺.
+RUNNERS = {
+    "eve": lambda spark, w: [r.spg for r in H.run_eve(spark, w)[0]],
+    "join": lambda spark, w: H.run_spg_via_enumeration(spark, w, "join")[0],
+    "pathenum": lambda spark, w: H.run_spg_via_enumeration(spark, w, "pathenum")[0],
+    "khsq": lambda spark, w: H.run_gkst(spark, w, adaptive=False)[0],
+    "khsq+": lambda spark, w: H.run_gkst(spark, w, adaptive=True)[0],
+}
+SUPERSET = {"khsq", "khsq+"}
+
+
+def _workload(pdf, edges, qs, k):
+    return H.Workload(name="test", k=k, edges_pdf=pdf, edges=edges, queries=qs)
+
+
+@pytest.mark.parametrize("runner", RUNNERS)
+def test_empty_batch(gspark, fig1, fig1_edges, runner):
+    assert RUNNERS[runner](gspark, _workload(fig1.pdf, fig1_edges, [], 5)) == []
 
 
 def test_batch_results_share_edge_tuples(gspark, fig1_edges):
@@ -173,14 +191,15 @@ def test_batch_results_share_edge_tuples(gspark, fig1_edges):
     assert len(canon) < sum(len(res.upper) for res in results)
 
 
-def test_batch_runs_in_two_spark_jobs(gspark, fig1_edges):
+@pytest.mark.parametrize("runner", RUNNERS)
+def test_batch_runs_in_two_spark_jobs(gspark, fig1, fig1_edges, runner):
     """One batch is the edge collect plus the answer collect, at any Q."""
     sc = gspark.sparkContext
-    group = "test-eve-batch-jobs"
+    group = f"test-batch-jobs-{runner}"
     qs = [(FIG1_IDS["s"], FIG1_IDS["t"])] * 9
-    sc.setJobGroup(group, "one eve_spg_batch call")
+    sc.setJobGroup(group, f"one {runner} batch")
     try:
-        eve_spg_batch(gspark, fig1_edges, qs, 7)
+        RUNNERS[runner](gspark, _workload(fig1.pdf, fig1_edges, qs, 7))
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
     sc._jsc.sc().listenerBus().waitUntilEmpty()
@@ -210,21 +229,51 @@ def plumbing_graph(gspark):
     return pdf, gspark.createDataFrame(pdf)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 5, 7])
-def test_batch_plumbing_matches_bruteforce(gspark, plumbing_graph, k):
+@pytest.fixture(scope="module")
+def plumbing_truth(gspark, plumbing_graph):
+    """``k`` → (batch, brute-force SPG per query), each k computed once."""
+    pdf, _ = plumbing_graph
+    adj = adjacency(pdf.drop_duplicates())
+    n_queries = 2 * gspark.sparkContext.defaultParallelism + 1
+    cache = {}
+
+    def truth(k):
+        if k not in cache:
+            qs = random_queries(pdf, k, n_queries, seed=k)
+            s0 = qs[0][0]
+            qs += [qs[1], (ABSENT, s0), (s0, ABSENT), (s0, SINK), (SINK, s0)]
+            cache[k] = qs, [bf.spg_edges(adj, s, t, k) for s, t in qs]
+        return cache[k]
+
+    return truth
+
+
+@pytest.mark.parametrize(
+    "runner, k",
+    [
+        pytest.param(r, k, id=str(k) if r == "eve" else f"{r}-{k}")
+        for r in RUNNERS
+        for k in (1, 2, 3, 5, 7)
+    ],
+)
+def test_batch_plumbing_matches_bruteforce(
+    gspark, plumbing_graph, plumbing_truth, runner, k
+):
     """Each answer of a batch larger than its partition count, with a
     duplicate query, absent endpoints and an unreachable t, is its own
-    query's brute-force SPG."""
+    query's brute-force SPG (a superset of it for KHSQ / KHSQ⁺)."""
     pdf, edges = plumbing_graph
-    adj = adjacency(pdf.drop_duplicates())
-    qs = random_queries(pdf, k, 2 * gspark.sparkContext.defaultParallelism + 1, seed=k)
-    s0 = qs[0][0]
-    qs += [qs[1], (ABSENT, s0), (s0, ABSENT), (s0, SINK), (SINK, s0)]
-    results = eve_spg_batch(gspark, edges, qs, k)
-    assert len(results) == len(qs)
-    for (s, t), res in zip(qs, results):
-        assert (res.s, res.t, res.k) == (s, t, k)
-        assert res.spg == bf.spg_edges(adj, s, t, k), (s, t)
-        assert res.definite <= res.spg <= res.upper
-    assert results[-5].spg == results[1].spg
-    assert not results[-4].spg and not results[-3].spg and not results[-2].spg
+    qs, truth = plumbing_truth(k)
+    if runner == "eve":
+        results = eve_spg_batch(gspark, edges, qs, k)
+        for (s, t), res in zip(qs, results):
+            assert (res.s, res.t, res.k) == (s, t, k)
+            assert res.definite <= res.spg <= res.upper
+        got = [res.spg for res in results]
+    else:
+        got = RUNNERS[runner](gspark, _workload(pdf, edges, qs, k))
+    assert len(got) == len(qs)
+    for (s, t), es, want in zip(qs, got, truth):
+        assert es >= want if runner in SUPERSET else es == want, (s, t)
+    assert got[-5] == got[1]
+    assert not got[-4] and not got[-3] and not got[-2]

@@ -28,8 +28,7 @@ def test_run_eve_matches_truth(gspark, workload):
 def test_run_spg_via_enumeration_matches_eve(gspark, workload):
     results, _ = H.run_eve(gspark, workload)
     spg, secs = H.run_spg_via_enumeration(gspark, workload, "pathenum")
-    for i, res in enumerate(results):
-        assert spg[i] == res.spg
+    assert spg == [res.spg for res in results]
 
 
 def test_run_path_enumeration_counts(gspark, workload):
@@ -44,6 +43,8 @@ def test_run_path_enumeration_counts(gspark, workload):
 def test_budget_exceeded_returns_none(gspark, workload):
     n, secs = H.run_path_enumeration(gspark, workload, "join", max_rows=1)
     assert n is None
+    spg, secs = H.run_spg_via_enumeration(gspark, workload, "pathenum", max_rows=1)
+    assert spg is None
 
 
 def test_run_gkst_superset(gspark, workload):
@@ -53,11 +54,18 @@ def test_run_gkst_superset(gspark, workload):
         assert sets[i] >= bf.spg_edges(adj, s, t, workload.k)
 
 
-def test_qid_edges_roundtrip(gspark):
-    mapping = {0: {(1, 2), (2, 3)}, 1: set(), 2: {(5, 6)}}
-    df = H.qid_edges_df(gspark, mapping)
-    back = H.edge_sets_from_df(df, 3)
-    assert back == mapping
+def test_reduced_graphs_stay_per_query(gspark, workload):
+    """Each query searches only its own reduced edge set: with query 0 given
+    its SPG and every other query an empty set, only query 0's paths count
+    (the Table 4/5 "on G^k_st / on SPG_k" runs)."""
+    adj = adjacency(workload.edges_pdf)
+    (s, t), k = workload.queries[0], workload.k
+    reduced = [bf.spg_edges(adj, s, t, k)] + [set()] * (len(workload.queries) - 1)
+    for algo in ("join", "pathenum"):
+        n, _ = H.run_path_enumeration(gspark, workload, algo, reduced=reduced)
+        assert n == len(bf.simple_paths(adj, s, t, k))
+        spg, _ = H.run_spg_via_enumeration(gspark, workload, algo, reduced=reduced)
+        assert spg == reduced
 
 
 def test_fmt_markdown_table():
