@@ -55,13 +55,10 @@ from pyspark.sql import SparkSession  # noqa: E402
 def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session, built as the
     ``jobs/`` entry points build theirs (``bench_harness.make_session``:
-    Arrow on, automatic broadcast joins off, 4 shuffle partitions, AQE off).
+    Arrow on for the edge ``toPandas``, 4 shuffle partitions, AQE off).
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). With automatic broadcast joins off, a join without an
-    explicit ``F.broadcast`` hint runs as a shuffle join, as it would on a
-    graph too large to broadcast; the graph dataflows hint their small sides
-    (frontiers, query tables), which the threshold does not affect.
+    pre-JVM-launch).
     """
     from repro.bench_harness import make_session
 

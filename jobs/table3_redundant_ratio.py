@@ -17,7 +17,6 @@ DEFAULT_K = [5, 6, 7, 8]
 def main() -> None:
     args = base_parser(__doc__).parse_args()
     from repro.bench_harness import fmt_markdown_table, make_session, make_workload, run_eve
-    from repro.core.stats import redundant_ratio
 
     spark = make_session("table3")
     datasets = args.datasets or DEFAULT_DATASETS
@@ -32,7 +31,7 @@ def main() -> None:
                     scale=args.scale, n_queries=args.queries, seed=args.seed,
                 )
                 results, secs = run_eve(spark, w)
-                ratios = [redundant_ratio(r) for r in results]
+                ratios = [r.redundant_ratio for r in results]
                 row.append(f"{100 * sum(ratios) / len(ratios):.4f}%")
                 w.edges.unpersist()
             except RuntimeError as exc:  # not enough reachable queries

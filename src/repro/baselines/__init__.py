@@ -1,10 +1,13 @@
 """Baseline algorithms and ground-truth reference implementations.
 
-Every baseline answers one query over an adjacency dict, in plain Python;
-``bench_harness`` runs it once per query in Spark's Python workers through
-:func:`repro.spark_util.map_queries`, the runner EVE uses too.
+Every baseline answers one query over an adjacency dict
+(:mod:`repro.graphs.model`, which also gives the reversed graph and the
+BFS), in plain Python; ``bench_harness`` runs it once per query in Spark's
+Python workers through :func:`repro.spark_util.map_queries`, the runner EVE
+uses too.
 
-- :mod:`repro.baselines.bruteforce` — pure-Python exact reference (test oracle).
+- :mod:`repro.baselines.bruteforce` — pure-Python exact reference (test
+  oracle; no module of the program imports it).
 - :mod:`repro.baselines.enumeration` — hop-constrained simple path
   enumeration (distance-pruned "PathEnum-DFS" and JOIN).
 - :mod:`repro.baselines.pathenum` — PathEnum-lite with cost-based mode choice.

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Set, Tuple
 
-Edge = Tuple[int, int]
-Adj = Dict[int, List[int]]
+from repro.graphs.model import Adj, Edge
 
 
 def simple_paths(adj: Adj, s: int, t: int, k: int) -> List[Tuple[int, ...]]:
@@ -91,12 +90,3 @@ def essential_sets(
         if per_l:
             out[v] = per_l
     return out
-
-
-def reverse_adj(adj: Adj) -> Adj:
-    """Reversed adjacency."""
-    r: Adj = {}
-    for u, vs in adj.items():
-        for v in vs:
-            r.setdefault(v, []).append(u)
-    return r

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Tuple
 
-from repro.baselines.bruteforce import Adj, reverse_adj
+from repro.graphs.model import Adj, reverse_adj
 
 Path = Tuple[int, ...]
 Dist = Optional[Dict[int, int]]

@@ -14,27 +14,9 @@ PathEnum's index (:mod:`repro.baselines.pathenum`).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Set, Tuple
 
-from repro.baselines.bruteforce import Adj, reverse_adj
-from repro.core.reference import bfs_dist
-
-Edge = Tuple[int, int]
-
-
-def _expand(
-    adj: Adj, dist: Dict[int, int], frontier: List[int], depth: int,
-    region: Optional[Set[int]] = None,
-) -> List[int]:
-    """One BFS level: the vertices first reached from ``frontier`` (only
-    those in ``region``, if given), recorded in ``dist`` at ``depth``."""
-    nxt = []
-    for u in frontier:
-        for v in adj.get(u, ()):
-            if v not in dist and (region is None or v in region):
-                dist[v] = depth
-                nxt.append(v)
-    return nxt
+from repro.graphs.model import Adj, Edge, bfs_dist, expand, reverse_adj
 
 
 def distance_maps(
@@ -51,19 +33,19 @@ def distance_maps(
     """
     radj = reverse_adj(adj)
     if not adaptive:
-        return bfs_dist(adj, s, k), bfs_dist(radj, t, k)
+        return bfs_dist(adj, (s,), k), bfs_dist(radj, (t,), k)
     graphs, dists = (adj, radj), ({s: 0}, {t: 0})
     frontiers, depths = [[s], [t]], [0, 0]
     while sum(depths) < k and (frontiers[0] or frontiers[1]):
         f, b = map(len, frontiers)
         i = 0 if 0 < f <= b or not b else 1
         depths[i] += 1
-        frontiers[i] = _expand(graphs[i], dists[i], frontiers[i], depths[i])
+        frontiers[i] = expand(graphs[i], dists[i], frontiers[i], depths[i])
     regions = [set(d) for d in dists]
     for i in (0, 1):
         while depths[i] < k and frontiers[i]:
             depths[i] += 1
-            frontiers[i] = _expand(
+            frontiers[i] = expand(
                 graphs[i], dists[i], frontiers[i], depths[i], regions[1 - i]
             )
     return dists

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.baselines.bruteforce import Adj
 from repro.baselines.enumeration import Path, dfs_paths, join_paths
 from repro.baselines.khsq import distance_maps, gkst_edges
+from repro.graphs.model import Adj, build_adjacency
 
 
 def build_index(
@@ -35,9 +35,7 @@ def build_index(
     adjacency of the candidate edges and the bounded BFS maps that pick
     them."""
     dist_s, dist_t = distance_maps(adj, s, t, k)
-    cand: Adj = {}
-    for u, v in gkst_edges(adj, dist_s, dist_t, k):
-        cand.setdefault(u, []).append(v)
+    cand, _ = build_adjacency(gkst_edges(adj, dist_s, dist_t, k))
     return cand, dist_s, dist_t
 
 

@@ -23,13 +23,11 @@ from repro.baselines.enumeration import join_paths
 from repro.baselines.khsq import gkst
 from repro.baselines.pathenum import pathenum_paths
 from repro.core.eve import EveResult, eve_spg_batch
-from repro.core.verify import build_adjacency
 from repro.graphs.datasets import dataset_edges_pdf
 from repro.graphs.generators import to_spark
+from repro.graphs.model import Edge, build_adjacency
 from repro.graphs.queries import random_queries
 from repro.spark_util import map_queries, tune_runtime
-
-Edge = Tuple[int, int]
 
 
 @dataclass
@@ -192,7 +190,6 @@ def make_session(app: str, n_partitions: int = 4) -> SparkSession:
     spark = (
         SparkSession.builder.appName(app)
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )
     spark.sparkContext.setLogLevel("ERROR")

@@ -7,5 +7,8 @@
 - :mod:`repro.core.eve` — runs the per-query pipeline over a batch of
   queries in Spark's Python workers: one RDD ``map`` over the broadcast
   adjacency, whose ``collect`` returns the answers in query order.
-- :mod:`repro.core.stats` — §6.6 coverage/redundant ratios.
+  ``EveResult.redundant_ratio`` is the §6.6 redundant ratio.
+
+The graph format, its reverse and the BFS come from
+:mod:`repro.graphs.model`; nothing here imports :mod:`repro.baselines`.
 """

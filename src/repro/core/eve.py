@@ -8,7 +8,8 @@ propagation → Algorithm 2 labeling → Algorithm 3 verification — once per
 query, inside Spark's Python workers:
 
 the shared runner :func:`repro.spark_util.map_queries` broadcasts the
-adjacency of the ``(src, dst)`` edges, maps each ``(s, t)`` pair to its
+adjacency of the ``(src, dst)`` edges (:func:`repro.graphs.model.adjacency`,
+each distinct edge once), maps each ``(s, t)`` pair to its
 ``reference_eve`` answer on the broadcast graph and collects the answers in
 query order. The step uses the RDD API because its input and output are
 Python objects (query pairs, edge sets, phase times), not relations. A
@@ -23,11 +24,9 @@ from typing import Dict, List, Sequence, Set, Tuple
 from pyspark.sql import DataFrame, SparkSession
 
 from repro import spark_util
-from repro.core.reference import bfs_dist, ev_tables, label_edge, reference_eve
+from repro.core.reference import ev_tables, label_edge, reference_eve
 from repro.core.verify import verify_query
-from repro.graphs.model import EDGE_SCHEMA
-
-Edge = Tuple[int, int]
+from repro.graphs.model import Edge, bfs_dist
 
 # perfbench/layers.py swaps these five names for tracing wrappers while it
 # traces a batch. The phases run inside Python workers, which the wrappers do
@@ -59,9 +58,12 @@ class EveResult:
     #: :data:`repro.core.reference.PHASES`
     timings: Dict[str, float] = field(default_factory=dict)
 
-    def spg_df(self, spark: SparkSession) -> DataFrame:
-        """The answer as a Spark DataFrame ``(src, dst)``."""
-        return spark.createDataFrame(sorted(self.spg), EDGE_SCHEMA)
+    @property
+    def redundant_ratio(self) -> float:
+        """r_D = (|E(SPG^u)| − |E(SPG)|) / |E(SPG)| (§6.6); 0 when SPG is empty."""
+        if not self.spg:
+            return 0.0
+        return (len(self.upper) - len(self.spg)) / len(self.spg)
 
 
 def eve_spg_batch(
@@ -77,12 +79,12 @@ def eve_spg_batch(
     """Generate SPG_k(s,t) for every query in the batch with EVE.
 
     ``edges`` is one graph shared by every query: ``src`` and ``dst``
-    columns, duplicate rows and self-loops allowed. Options mirror the
-    paper's ablations (Fig. 11): ``prune`` toggles forward-looking pruning,
-    ``order`` the §5.3 search-ordering strategy. Every result's ``timings``
-    holds its own query's phase times whatever ``time_phases`` says; the
-    option does nothing and stays only because the benchmark's traced run
-    passes it.
+    columns, self-loops allowed, a duplicated row counted as one edge.
+    Options mirror the paper's ablations (Fig. 11): ``prune`` toggles
+    forward-looking pruning, ``order`` the §5.3 search-ordering strategy.
+    Every result's ``timings`` holds its own query's phase times whatever
+    ``time_phases`` says; the option does nothing and stays only because
+    the benchmark's traced run passes it.
     """
     if k < 1:
         raise ValueError(f"hop constraint k must be >= 1, got {k}")

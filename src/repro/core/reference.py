@@ -1,43 +1,25 @@
 """EVE for one query in plain Python: the per-query pipeline.
 
 :func:`reference_eve` runs the four phases over an adjacency dict — bounded
-BFS distances, the closure form of Eq. (4) (:func:`ev_tables`), Algorithm 2
-(:func:`label_edge`) and Algorithm 3 (:func:`repro.core.verify.verify_query`)
-— and times each. It is both the engine's kernel, which
-:func:`repro.core.eve.eve_spg_batch` runs once per query inside Spark's
-Python workers, and a test oracle: hypothesis tests check it against the
-brute-force Definition 2.1 / 3.1 enumerators on hundreds of random graphs
-without Spark.
+BFS distances (:func:`repro.graphs.model.bfs_dist`), the closure form of
+Eq. (4) (:func:`ev_tables`), Algorithm 2 (:func:`label_edge`) and
+Algorithm 3 (:func:`repro.core.verify.verify_query`) — and times each. It
+is both the engine's kernel, which :func:`repro.core.eve.eve_spg_batch` runs
+once per query inside Spark's Python workers, and a test oracle: hypothesis
+tests check it against the brute-force Definition 2.1 / 3.1 enumerators on
+hundreds of random graphs without Spark.
 """
 from __future__ import annotations
 
 import math
 import time
-from collections import deque
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set
 
-from repro.baselines.bruteforce import Adj, reverse_adj
 from repro.core.verify import verify_query
-
-Edge = Tuple[int, int]
+from repro.graphs.model import Adj, Edge, bfs_dist, reverse_adj
 
 #: The phases :func:`reference_eve` times, in the order they run.
 PHASES = ("distances", "propagation", "labeling", "verification")
-
-
-def bfs_dist(adj: Adj, source: int, max_depth: int) -> Dict[int, int]:
-    """Bounded BFS distances."""
-    dist = {source: 0}
-    dq = deque([source])
-    while dq:
-        u = dq.popleft()
-        if dist[u] >= max_depth:
-            continue
-        for v in adj.get(u, ()):  # noqa: E203
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                dq.append(v)
-    return dist
 
 
 def ev_tables(
@@ -113,8 +95,8 @@ def reference_eve(
         raise ValueError(f"hop constraint k must be >= 1, got {k}")
     marks = [time.perf_counter()]
     radj = reverse_adj(adj)
-    dist_s = bfs_dist(adj, s, k) if prune else None
-    dist_t = bfs_dist(radj, t, k) if prune else None
+    dist_s = bfs_dist(adj, (s,), k) if prune else None
+    dist_t = bfs_dist(radj, (t,), k) if prune else None
     marks.append(time.perf_counter())
     evf = ev_tables(adj, s, t, k, dist_prune=dist_t)
     evb = ev_tables(radj, t, s, k, dist_prune=dist_s)

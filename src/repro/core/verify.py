@@ -3,7 +3,8 @@
 Phase 3 of EVE. Its input is one query's *upper-bound graph* SPG^u, the
 label ≥ 1 edges of Algorithm 2; :func:`repro.core.reference.reference_eve`
 calls it once per query, inside a Python worker when the query comes through
-``eve_spg_batch``.
+``eve_spg_batch``. SPG^u's out- and in-adjacency and the multi-source BFS of
+the §5.3 orders come from :mod:`repro.graphs.model`.
 
 Components:
 
@@ -24,50 +25,24 @@ Components:
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
-Edge = Tuple[int, int]
-
-
-def _multi_source_bfs(
-    adj: Dict[int, List[int]], sources: Iterable[int]
-) -> Dict[int, int]:
-    dist = {int(v): 0 for v in sources}
-    dq = deque(dist)
-    while dq:
-        u = dq.popleft()
-        for v in adj.get(u, ()):  # noqa: E203
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                dq.append(v)
-    return dist
-
-
-def build_adjacency(
-    spgu_edges: Sequence[Edge],
-) -> Tuple[Dict[int, List[int]], Dict[int, List[int]]]:
-    """Out- and in-adjacency of the upper-bound graph."""
-    out_adj: Dict[int, List[int]] = {}
-    in_adj: Dict[int, List[int]] = {}
-    for u, v in spgu_edges:
-        out_adj.setdefault(u, []).append(v)
-        in_adj.setdefault(v, []).append(u)
-    return out_adj, in_adj
+from repro.graphs.model import Adj, Edge, bfs_dist, build_adjacency
 
 
 def departures_arrivals(
-    out_adj: Dict[int, List[int]],
-    in_adj: Dict[int, List[int]],
+    out_adj: Adj,
+    in_adj: Adj,
     s: int,
     t: int,
     k: int,
-) -> Tuple[Set[int], Set[int], Dict[int, List[int]], Dict[int, List[int]]]:
+) -> Tuple[Set[int], Set[int], Adj, Adj]:
     """(D, A, In_D, Out_A) per Definitions 5.1–5.4 with the k-2 cap (Thm 5.8).
 
-    ``out_adj``/``in_adj`` are SPG^u's adjacency (:func:`build_adjacency`).
+    ``out_adj``/``in_adj`` are SPG^u's adjacency
+    (:func:`repro.graphs.model.build_adjacency`).
     """
-    in_d: Dict[int, List[int]] = {}
+    in_d: Adj = {}
     for x in out_adj.get(s, ()):  # e(s, x) in SPG^u
         if x in (s, t):
             continue
@@ -75,7 +50,7 @@ def departures_arrivals(
             if v in (s, t, x):
                 continue
             in_d.setdefault(v, []).append(x)
-    out_a: Dict[int, List[int]] = {}
+    out_a: Adj = {}
     for y in in_adj.get(t, ()):  # e(y, t) in SPG^u
         if y in (s, t):
             continue
@@ -93,18 +68,18 @@ def departures_arrivals(
 
 
 def search_orders(
-    out_adj: Dict[int, List[int]],
-    in_adj: Dict[int, List[int]],
+    out_adj: Adj,
+    in_adj: Adj,
     D: Set[int],
     A: Set[int],
-    in_d: Dict[int, List[int]],
-    out_a: Dict[int, List[int]],
-) -> Tuple[Dict[int, List[int]], Dict[int, List[int]]]:
+    in_d: Adj,
+    out_a: Adj,
+) -> Tuple[Adj, Adj]:
     """§5.3 neighbor orderings; returns (ordered out_adj, ordered in_adj)."""
     # Distance from v to the closest arrival following out-edges = BFS over
     # the reversed SPG^u from the arrival set; symmetric for departures.
-    dist_to_arr = _multi_source_bfs(in_adj, A)
-    dist_from_dep = _multi_source_bfs(out_adj, D)
+    dist_to_arr = bfs_dist(in_adj, A)
+    dist_from_dep = bfs_dist(out_adj, D)
     inf = math.inf
 
     def okey(n: int):
@@ -123,13 +98,13 @@ def search_orders(
 
 
 def verify_kernel(
-    out_adj: Dict[int, List[int]],
-    in_adj: Dict[int, List[int]],
+    out_adj: Adj,
+    in_adj: Adj,
     undetermined: Sequence[Edge],
     D: Set[int],
     A: Set[int],
-    in_d: Dict[int, List[int]],
-    out_a: Dict[int, List[int]],
+    in_d: Adj,
+    out_a: Adj,
     k: int,
     s: int,
     t: int,

@@ -2,8 +2,11 @@
 
 The paper's input is a directed graph ``G=(V,E)``; here a graph is a Spark
 DataFrame with long columns ``src`` and ``dst`` (the generators emit each
-edge once; duplicate rows are accepted, not removed). EVE, the baselines
-and the pure-Python oracles all read it as an adjacency dict built from the
-collected edge list (:func:`repro.graphs.model.adjacency`), which
-:func:`repro.spark_util.map_queries` broadcasts to Spark's Python workers.
+edge once; a duplicated row is accepted and collapsed into one edge). EVE,
+the baselines and the pure-Python oracles all read it as an adjacency dict
+built from the collected edge list (:func:`repro.graphs.model.adjacency`),
+which :func:`repro.spark_util.map_queries` broadcasts to Spark's Python
+workers. :mod:`repro.graphs.model` also owns the reversed adjacency and the
+one BFS; this package imports nothing from :mod:`repro.core` or
+:mod:`repro.baselines`.
 """

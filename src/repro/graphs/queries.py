@@ -13,8 +13,7 @@ from typing import List, Tuple
 import numpy as np
 import pandas as pd
 
-from repro.core.reference import bfs_dist
-from repro.graphs.model import adjacency
+from repro.graphs.model import adjacency, bfs_dist
 
 
 def random_queries(
@@ -34,7 +33,7 @@ def random_queries(
     while sources and len(out) < n_queries and tries < max_tries:
         tries += 1
         s = int(sources[g.integers(0, len(sources))])
-        reach = [v for v in bfs_dist(adj, s, k) if v != s]
+        reach = [v for v in bfs_dist(adj, (s,), k) if v != s]
         if not reach:
             continue
         t = int(reach[g.integers(0, len(reach))])

@@ -1,54 +1,30 @@
 """DuckDB correctness oracle.
 
-``assert_equivalent(spark_df, sql, **tables)`` runs ``sql`` in DuckDB
-over ``tables`` and asserts the sorted rows match ``spark_df`` (the
-Spark result). This catches wrong results from a rewritten plan or a
-custom operator — "it ran" is not "it is correct".
-
-``tables`` may be Spark or pandas DataFrames; Spark inputs are
-collected via ``.toPandas()``. Alias every output column identically
-on both sides (Spark names ``count(*)`` as ``count(1)``, DuckDB as
-``count_star()``) and project to scalar columns — array/map/struct
-columns are not orderable so cannot be compared here.
+The SQL builders below evaluate the paper's *definitions* directly — the
+edges of SPG_k(s,t), the simple paths P*_k(s,t), bounded BFS distances — as
+DuckDB recursive CTEs over an edge table ``edges (src, dst)``.
+:func:`query` runs one of them over a pandas edge list, so a test can diff
+any result of the program (EVE's SPG, a baseline's paths or distance maps)
+against a third implementation that shares no code with it.
 """
 import duckdb
 import pandas as pd
-from pyspark.sql import DataFrame
 
 
-def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
-    # Canonical column order first, then row order by those columns, so
-    # two results that differ only in projection order compare equal.
-    pdf = pdf[sorted(pdf.columns)].reset_index(drop=True).copy()
-    for c in pdf.select_dtypes(include=["float", "float64"]).columns:
-        pdf[c] = pdf[c].round(6)
-    return pdf.sort_values(list(pdf.columns)).reset_index(drop=True)
-
-
-def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
+def query(sql: str, edges_pdf: pd.DataFrame) -> list:
+    """The rows of ``sql``, run in DuckDB with ``edges_pdf`` registered as
+    the table ``edges``."""
     con = duckdb.connect()
     try:
-        for name, t in tables.items():
-            con.register(name, t.toPandas() if isinstance(t, DataFrame) else t)
-        expected = con.execute(sql).fetchdf()
+        con.register("edges", edges_pdf)
+        return con.execute(sql).fetchall()
     finally:
         con.close()
-    got = spark_df.toPandas()
-    assert set(expected.columns) == set(got.columns), (
-        f"column mismatch: {sorted(got.columns)} vs {sorted(expected.columns)} "
-        "— alias every output column identically on both sides"
-    )
-    pd.testing.assert_frame_equal(
-        _canon(got), _canon(expected), check_dtype=False
-    )
 
 
 # ---------------------------------------------------------------------------
-# Graph-query SQL builders (DuckDB recursive CTEs) — independent oracle for
-# the simple-path-graph reproduction. Used with ``assert_equivalent``: the
-# Spark result (edges of SPG_k, path strings, or BFS distances) is diffed
-# against DuckDB evaluating the *definition* directly over the same edge
-# list, registered under table name ``edges`` with columns (src, dst).
+# Graph-query SQL builders (DuckDB recursive CTEs), each over the table
+# ``edges`` with columns (src, dst).
 # ---------------------------------------------------------------------------
 
 def _walk_cte(s: int, t: int, k: int) -> str:

@@ -3,7 +3,6 @@
 The baselines are per-query kernels over an adjacency dict, so these tests
 call them without Spark; ``test_harness`` and ``test_eve_end2end`` run them
 through the Spark runner."""
-import duckdb
 import pytest
 
 from repro import oracle
@@ -11,9 +10,8 @@ from repro.baselines import bruteforce as bf
 from repro.baselines.enumeration import dfs_paths, join_paths
 from repro.baselines.khsq import gkst
 from repro.baselines.pathenum import build_index, choose_mode, pathenum_paths
-from repro.core.reference import bfs_dist
 from repro.graphs.generators import random_digraph
-from repro.graphs.model import adjacency
+from repro.graphs.model import adjacency, bfs_dist, reverse_adj
 from repro.graphs.queries import random_queries
 
 K = 5
@@ -22,12 +20,12 @@ N_QUERIES = 6
 def bsetup():
     pdf = random_digraph("er", 90, 3.5, seed=77)
     adj = adjacency(pdf)
-    return pdf, adj, bf.reverse_adj(adj), random_queries(pdf, K, N_QUERIES, seed=5)
+    return pdf, adj, reverse_adj(adj), random_queries(pdf, K, N_QUERIES, seed=5)
 
 
 def _pruned(adj, s, t, k, **kw):
     """PathEnum's DFS mode on the whole graph, indexed by plain BFS to t."""
-    return dfs_paths(adj, s, t, k, dist_t=bfs_dist(bf.reverse_adj(adj), t, k), **kw)
+    return dfs_paths(adj, s, t, k, dist_t=bfs_dist(reverse_adj(adj), (t,), k), **kw)
 
 
 def _pathenum_join(adj, s, t, k, **kw):
@@ -62,21 +60,12 @@ def test_enumeration_matches_bruteforce(bsetup, k, algo):
         assert set(paths) == set(bf.simple_paths(adj, s, t, k)), (k, algo, s, t)
 
 
-def _duckdb(sql, pdf):
-    con = duckdb.connect()
-    try:
-        con.register("edges", pdf)
-        return con.execute(sql).fetchall()
-    finally:
-        con.close()
-
-
 def test_paths_match_duckdb_oracle(bsetup):
     """Path sets equal DuckDB's recursive-CTE enumeration, per query."""
     pdf, adj, _, qs = bsetup
     for s, t in qs[:3]:
         got = {"-".join(map(str, p)) for p in _pruned(adj, s, t, K)}
-        assert got == {r[0] for r in _duckdb(oracle.paths_sql(s, t, K), pdf)}
+        assert got == {r[0] for r in oracle.query(oracle.paths_sql(s, t, K), pdf)}
 
 
 def _edges(paths):
@@ -87,7 +76,8 @@ def test_paths_to_spg_matches_oracle(bsetup):
     """Baseline SPG (union of path edges) == DuckDB Definition 2.1."""
     pdf, adj, _, qs = bsetup
     for s, t in qs[:3]:
-        want = {(int(u), int(v)) for u, v in _duckdb(oracle.spg_sql(s, t, K), pdf)}
+        rows = oracle.query(oracle.spg_sql(s, t, K), pdf)
+        want = {(int(u), int(v)) for u, v in rows}
         assert _edges(_pruned(adj, s, t, K)) == want
 
 
@@ -102,8 +92,8 @@ def test_gkst_properties(bsetup):
     pdf, adj, radj, qs = bsetup
     all_edges = set(zip(pdf["src"], pdf["dst"]))
     for s, t in qs:
-        d_s = bfs_dist(adj, s, K)
-        d_t = bfs_dist(radj, t, K)
+        d_s = bfs_dist(adj, (s,), K)
+        d_t = bfs_dist(radj, (t,), K)
         want = {
             (u, v)
             for (u, v) in all_edges

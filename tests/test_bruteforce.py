@@ -3,7 +3,7 @@ import pytest
 
 from repro.baselines import bruteforce as bf
 from repro.graphs.generators import chain, grid
-from repro.graphs.model import adjacency
+from repro.graphs.model import adjacency, reverse_adj
 
 
 def test_chain_paths():
@@ -64,4 +64,4 @@ def test_spg_empty_when_unreachable():
 
 def test_reverse_adj():
     adj = {0: [1, 2], 1: [2]}
-    assert bf.reverse_adj(adj) == {1: [0], 2: [0, 1]}
+    assert reverse_adj(adj) == {1: [0], 2: [0, 1]}

@@ -1,6 +1,6 @@
 """The table drivers in ``jobs/`` and the benchmark in ``perfbench/`` import
-only what the program still has, and ``jobs/`` calls it with arguments its
-signatures accept; starts no Spark job."""
+only what the program still has and call it with arguments its signatures
+accept, and the program's own imports run one way; starts no Spark job."""
 import ast
 import importlib
 import importlib.util
@@ -10,6 +10,7 @@ from pathlib import Path
 import repro.core.eve as eve
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
 ENTRY_POINTS = [
     *sorted((ROOT / "jobs").glob("*.py")),
     ROOT / "perfbench" / "run.py",
@@ -72,20 +73,41 @@ def _repro_calls(path: Path):
 
 def test_jobs_calls_bind_to_current_signatures():
     """A parameter removed from the program fails here, as a removed name
-    fails above. Calls with ``*`` or ``**`` arguments are not checked."""
-    bad, checked = [], 0
-    for path in sorted((ROOT / "jobs").glob("*.py")):
+    fails above; for ``perfbench/run.py`` too, whose file no change to the
+    program may edit. Calls with ``*`` or ``**`` arguments are not checked."""
+    bad, checked = [], {}
+    bench = ROOT / "perfbench" / "run.py"
+    for path in [*sorted((ROOT / "jobs").glob("*.py")), bench]:
         for line, fn, call in _repro_calls(path):
             if any(isinstance(a, ast.Starred) for a in call.args) or any(
                 kw.arg is None for kw in call.keywords
             ):
                 continue
-            checked += 1
+            checked.setdefault(path, set()).add(fn.__name__)
             try:
                 inspect.signature(fn).bind(
                     *[None] * len(call.args), **{kw.arg: None for kw in call.keywords}
                 )
             except TypeError as e:
                 bad.append(f"{path.relative_to(ROOT)}:{line}: {fn.__name__}: {e}")
-    assert checked
+    assert checked.keys() - {bench}
+    assert checked[bench] >= {
+        "adjacency", "make_session", "make_workload", "random_queries", "reference_eve"
+    }
+    assert not bad
+
+
+def test_program_imports_run_one_way():
+    """``repro.graphs`` imports nothing from ``repro.core`` or
+    ``repro.baselines``, ``repro.core`` nothing from ``repro.baselines``, and
+    no module of the program imports the brute-force test oracle."""
+    forbidden = {"graphs": ("repro.core", "repro.baselines"), "core": ("repro.baselines",)}
+    bad = []
+    for path in sorted(SRC.rglob("*.py")):
+        package = path.relative_to(SRC).parts[0]
+        banned = ("repro.baselines.bruteforce", *forbidden.get(package, ()))
+        for module, name in _repro_imports(path):
+            full = module if name is None else f"{module}.{name}"
+            if any(full == b or full.startswith(b + ".") for b in banned):
+                bad.append(f"{path.relative_to(ROOT)}: {full}")
     assert not bad

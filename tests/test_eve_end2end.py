@@ -2,7 +2,7 @@
 
 1. brute-force enumeration of Definition 2.1 (``repro.baselines.bruteforce``),
 2. the pure-Python reference EVE (``repro.core.reference``),
-3. DuckDB recursive-CTE SQL via ``repro.oracle.assert_equivalent``.
+3. DuckDB recursive-CTE SQL via ``repro.oracle.query``.
 
 The heavy Spark batches are computed once per (graph, k) combo in the
 session-scoped ``eve_cases`` fixture; the tests here fan out per query.
@@ -13,10 +13,12 @@ import pytest
 from repro import bench_harness as H
 from repro import oracle
 from repro.baselines import bruteforce as bf
+from repro.baselines.enumeration import dfs_paths, join_paths
+from repro.baselines.pathenum import pathenum_paths
 from repro.core.eve import eve_spg_batch
 from repro.core.reference import PHASES, reference_eve
 from repro.graphs.generators import FIG1_IDS, random_digraph, to_spark
-from repro.graphs.model import adjacency
+from repro.graphs.model import adjacency, bfs_dist, reverse_adj
 from repro.graphs.queries import random_queries
 
 from tests.conftest import COMBO_IDS, EVE_COMBOS
@@ -69,14 +71,11 @@ def test_matches_reference_implementation(eve_cases, name):
 
 
 @pytest.mark.parametrize("name", COMBO_IDS)
-def test_spg_matches_duckdb_oracle(gspark, eve_cases, name):
+def test_spg_matches_duckdb_oracle(eve_cases, name):
     """Every query's SPG equals DuckDB evaluating Definition 2.1 directly."""
     for c in _cases(eve_cases, name)[:3]:  # CTE enumeration is exponential
-        oracle.assert_equivalent(
-            c.result.spg_df(gspark),
-            oracle.spg_sql(c.s, c.t, c.k),
-            edges=c.pdf,
-        )
+        rows = oracle.query(oracle.spg_sql(c.s, c.t, c.k), c.pdf)
+        assert c.result.spg == {(int(u), int(v)) for u, v in rows}, (c.s, c.t, c.k)
 
 
 @pytest.mark.parametrize("name", COMBO_IDS)
@@ -233,7 +232,7 @@ def plumbing_graph(gspark):
 def plumbing_truth(gspark, plumbing_graph):
     """``k`` → (batch, brute-force SPG per query), each k computed once."""
     pdf, _ = plumbing_graph
-    adj = adjacency(pdf.drop_duplicates())
+    adj = adjacency(pdf)
     n_queries = 2 * gspark.sparkContext.defaultParallelism + 1
     cache = {}
 
@@ -277,3 +276,28 @@ def test_batch_plumbing_matches_bruteforce(
         assert es >= want if runner in SUPERSET else es == want, (s, t)
     assert got[-5] == got[1]
     assert not got[-4] and not got[-3] and not got[-2]
+
+
+def test_duplicate_rows_are_one_edge(gspark, plumbing_graph, plumbing_truth):
+    """A duplicated row is one edge (``E`` is a set in Definition 2.1): the
+    enumeration kernels list each simple path once, and JOIN and PathEnum
+    count as many paths as brute force."""
+    pdf, edges = plumbing_graph
+    assert pdf.duplicated().any()
+    k = 5
+    qs, _ = plumbing_truth(k)
+    adj = adjacency(pdf)
+    radj = reverse_adj(adj)
+    want = [bf.simple_paths(adj, s, t, k) for s, t in qs]
+    for (s, t), paths in zip(qs, want):
+        assert len(set(paths)) == len(paths), (s, t)
+        dist_t = bfs_dist(radj, (t,), k)
+        for got in (
+            join_paths(adj, s, t, k),
+            dfs_paths(adj, s, t, k, dist_t=dist_t),
+            pathenum_paths(adj, s, t, k),
+        ):
+            assert sorted(got) == paths, (s, t)
+    w = _workload(pdf, edges, qs, k)
+    for algo in ("join", "pathenum"):
+        assert H.run_path_enumeration(gspark, w, algo)[0] == sum(map(len, want)), algo

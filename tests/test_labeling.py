@@ -6,7 +6,7 @@ import pytest
 from repro.baselines import bruteforce as bf
 from repro.core.reference import label_edge, reference_eve
 from repro.graphs.generators import FIG1_IDS, random_digraph
-from repro.graphs.model import adjacency
+from repro.graphs.model import adjacency, reverse_adj
 from repro.graphs.queries import random_queries
 
 K = 6
@@ -40,7 +40,7 @@ def test_labels_match_reference(labeled, qid):
     adj, qs, labels = labeled
     s, t = qs[qid]
     evf = _definition_layers(adj, s, t, K)
-    evb = _definition_layers(bf.reverse_adj(adj), t, s, K)
+    evb = _definition_layers(reverse_adj(adj), t, s, K)
     for u, vs in adj.items():
         for v in vs:
             assert labels[qid].get((u, v), 0) == label_edge(u, v, evf, evb, s, t, K)

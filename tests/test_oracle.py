@@ -1,79 +1,33 @@
-"""The DuckDB oracle itself: SQL builders vs brute force, and the
-equality checker's failure modes."""
-import pandas as pd
+"""The DuckDB oracle itself: its SQL builders vs brute force."""
 import pytest
 
 from repro import oracle
 from repro.baselines import bruteforce as bf
 from repro.graphs.generators import figure1_graph, grid, random_digraph, FIG1_IDS
-from repro.graphs.model import adjacency
+from repro.graphs.model import adjacency, bfs_dist, reverse_adj
 
 
 @pytest.mark.parametrize("k", [2, 4, 6])
 def test_spg_sql_matches_bruteforce(k):
-    import duckdb
-
     pdf = figure1_graph()
     adj = adjacency(pdf)
     s, t = FIG1_IDS["s"], FIG1_IDS["t"]
-    con = duckdb.connect()
-    con.register("edges", pdf)
-    got = {
-        (int(r[0]), int(r[1]))
-        for r in con.execute(oracle.spg_sql(s, t, k)).fetchall()
-    }
+    got = {(int(r[0]), int(r[1])) for r in oracle.query(oracle.spg_sql(s, t, k), pdf)}
     assert got == bf.spg_edges(adj, s, t, k)
 
 
 def test_paths_sql_matches_bruteforce():
-    import duckdb
-
     pdf = grid(3, 3)
     adj = adjacency(pdf)
-    con = duckdb.connect()
-    con.register("edges", pdf)
-    got = {r[0] for r in con.execute(oracle.paths_sql(0, 8, 4)).fetchall()}
+    got = {r[0] for r in oracle.query(oracle.paths_sql(0, 8, 4), pdf)}
     want = {"-".join(map(str, p)) for p in bf.simple_paths(adj, 0, 8, 4)}
     assert got == want
 
 
 @pytest.mark.parametrize("reversed_", [False, True])
 def test_distances_sql_matches_bruteforce(reversed_):
-    import duckdb
-
-    from repro.core.reference import bfs_dist
-
     pdf = random_digraph("er", 40, 3, seed=6)
-    adj = adjacency(pdf) if not reversed_ else bf.reverse_adj(adjacency(pdf))
+    adj = adjacency(pdf) if not reversed_ else reverse_adj(adjacency(pdf))
     src = int(pdf["src"].iloc[0])
-    con = duckdb.connect()
-    con.register("edges", pdf)
-    got = {
-        int(r[0]): int(r[1])
-        for r in con.execute(oracle.distances_sql(src, 5, reversed_)).fetchall()
-    }
-    assert got == bfs_dist(adj, src, 5)
-
-
-def test_assert_equivalent_passes(gspark):
-    pdf = pd.DataFrame({"k": [1, 2, 2], "v": [1.0, 2.0, 3.0]})
-    df = gspark.createDataFrame(pdf)
-    oracle.assert_equivalent(
-        df.groupBy("k").sum("v").withColumnRenamed("sum(v)", "sv"),
-        "SELECT k, SUM(v) AS sv FROM t GROUP BY k",
-        t=pdf,
-    )
-
-
-def test_assert_equivalent_detects_wrong_rows(gspark):
-    pdf = pd.DataFrame({"k": [1, 2], "v": [1.0, 2.0]})
-    df = gspark.createDataFrame(pd.DataFrame({"k": [1, 2], "v": [1.0, 99.0]}))
-    with pytest.raises(AssertionError):
-        oracle.assert_equivalent(df, "SELECT k, v FROM t", t=pdf)
-
-
-def test_assert_equivalent_detects_column_mismatch(gspark):
-    pdf = pd.DataFrame({"k": [1]})
-    df = gspark.createDataFrame(pd.DataFrame({"wrong": [1]}))
-    with pytest.raises(AssertionError, match="column mismatch"):
-        oracle.assert_equivalent(df, "SELECT k FROM t", t=pdf)
+    rows = oracle.query(oracle.distances_sql(src, 5, reversed_), pdf)
+    assert {int(r[0]): int(r[1]) for r in rows} == bfs_dist(adj, (src,), 5)

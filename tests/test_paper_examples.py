@@ -9,9 +9,10 @@ tests double as evidence that the Figure-1 reconstruction is faithful.
 import pytest
 
 from repro.baselines import bruteforce as bf
-from repro.core.reference import bfs_dist, ev_tables
-from repro.core.verify import build_adjacency, departures_arrivals
+from repro.core.reference import ev_tables
+from repro.core.verify import departures_arrivals
 from repro.graphs.generators import FIG1_IDS as V
+from repro.graphs.model import bfs_dist, build_adjacency, reverse_adj
 
 S, T = "s", "t"
 
@@ -55,14 +56,14 @@ K = 7
 
 @pytest.fixture(scope="module")
 def fig1_ev_unpruned(fig1):
-    radj = bf.reverse_adj(fig1.adj)
+    radj = reverse_adj(fig1.adj)
     return ev_tables(fig1.adj, V[S], V[T], K), ev_tables(radj, V[T], V[S], K)
 
 
 @pytest.fixture(scope="module")
 def fig1_ev_pruned(fig1):
-    radj = bf.reverse_adj(fig1.adj)
-    ds, dt = bfs_dist(fig1.adj, V[S], K), bfs_dist(radj, V[T], K)
+    radj = reverse_adj(fig1.adj)
+    ds, dt = bfs_dist(fig1.adj, (V[S],), K), bfs_dist(radj, (V[T],), K)
     return (
         ev_tables(fig1.adj, V[S], V[T], K, dist_prune=dt),
         ev_tables(radj, V[T], V[S], K, dist_prune=ds),
@@ -136,7 +137,7 @@ def test_example_2_2_spg4(fig1, fig1_eve):
 def test_lemma_3_3_counterexample(fig1, fig1_eve):
     """Lemma 3.3: e(b,a) has disjoint EV pairs at k=7 yet is not in SPG_7."""
     ev_f = bf.essential_sets(fig1.adj, V[S], V[T], 7)
-    ev_b = bf.essential_sets(bf.reverse_adj(fig1.adj), V[T], V[S], 7)
+    ev_b = bf.essential_sets(reverse_adj(fig1.adj), V[T], V[S], 7)
     assert ev_f[V["b"]][3] == _ev("s,b")
     assert ev_b[V["a"]][2] == _ev("a,c,t")
     assert not (ev_f[V["b"]][3] & ev_b[V["a"]][2])

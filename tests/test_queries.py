@@ -2,10 +2,9 @@
 import pandas as pd
 import pytest
 
-from repro.core.reference import bfs_dist
 from repro.graphs.datasets import dataset_edges_pdf
 from repro.graphs.generators import chain, random_digraph
-from repro.graphs.model import adjacency
+from repro.graphs.model import adjacency, bfs_dist
 from repro.graphs.queries import random_queries
 
 #: ``random_queries`` draws at bench scale, as recorded before it switched
@@ -31,7 +30,7 @@ RECORDED_DRAWS = {
 
 def test_k_hop_reachable_chain():
     adj = adjacency(chain(10))
-    assert bfs_dist(adj, 0, 3) == {0: 0, 1: 1, 2: 2, 3: 3}
+    assert bfs_dist(adj, (0,), 3) == {0: 0, 1: 1, 2: 2, 3: 3}
 
 
 @pytest.mark.parametrize("k", [2, 4, 6])
@@ -42,7 +41,7 @@ def test_queries_are_k_hop_reachable(k):
     assert len(qs) == 20
     for s, t in qs:
         assert s != t
-        assert t in bfs_dist(adj, s, k)
+        assert t in bfs_dist(adj, (s,), k)
 
 
 def test_deterministic_in_seed():

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines import bruteforce as bf
-from repro.core.reference import bfs_dist, ev_tables, reference_eve
+from repro.core.reference import ev_tables, reference_eve
 from repro.graphs.generators import random_digraph
-from repro.graphs.model import adjacency
+from repro.graphs.model import adjacency, bfs_dist, reverse_adj
 
 
 @st.composite
@@ -95,8 +95,8 @@ def test_ev_sets_shrink_with_layer(case):
 def test_pruned_ev_entries_are_exact_subset(case):
     """Pruning drops entries but never alters kept values (§3.3 argument)."""
     adj, s, t, k = case
-    radj = bf.reverse_adj(adj)
-    dist_t = bfs_dist(radj, t, k)
+    radj = reverse_adj(adj)
+    dist_t = bfs_dist(radj, (t,), k)
     full = ev_tables(adj, s, t, k)
     pruned = ev_tables(adj, s, t, k, dist_prune=dist_t)
     for l in range(k):
@@ -109,7 +109,7 @@ def test_bfs_dist_matches_networkless_reference(n, depth):
     pdf = random_digraph("er", n, 3, seed=n)
     adj = adjacency(pdf)
     src = sorted(adj)[0]
-    got = bfs_dist(adj, src, depth)
+    got = bfs_dist(adj, (src,), depth)
     # Bellman-Ford-style reference.
     verts = {v for u, vs in adj.items() for v in [u] + vs}
     dist = {v: (0 if v == src else None) for v in verts}

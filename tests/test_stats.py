@@ -1,6 +1,5 @@
-"""Coverage/redundancy metrics (§6.6)."""
+"""The §6.6 redundant ratio of an EVE result."""
 from repro.core.eve import EveResult
-from repro.core.stats import coverage_ratio, redundant_ratio
 
 
 def _res(spg, upper):
@@ -10,14 +9,8 @@ def _res(spg, upper):
     )
 
 
-def test_coverage_ratio():
-    r = _res({(0, 1), (1, 2)}, {(0, 1), (1, 2)})
-    assert coverage_ratio(r, 10) == 0.2
-    assert coverage_ratio(r, 0) == 0.0
-
-
 def test_redundant_ratio():
     r = _res({(0, 1), (1, 2)}, {(0, 1), (1, 2), (2, 3)})
-    assert redundant_ratio(r) == 0.5
-    assert redundant_ratio(_res(set(), set())) == 0.0
-    assert redundant_ratio(_res({(0, 1)}, {(0, 1)})) == 0.0
+    assert r.redundant_ratio == 0.5
+    assert _res(set(), set()).redundant_ratio == 0.0
+    assert _res({(0, 1)}, {(0, 1)}).redundant_ratio == 0.0

@@ -6,14 +6,13 @@ import pytest
 from repro.baselines import bruteforce as bf
 from repro.core.reference import reference_eve
 from repro.core.verify import (
-    build_adjacency,
     departures_arrivals,
     search_orders,
     verify_kernel,
     verify_query,
 )
 from repro.graphs.generators import random_digraph
-from repro.graphs.model import adjacency
+from repro.graphs.model import adjacency, build_adjacency
 
 
 def _upper_parts(adj, s, t, k):
