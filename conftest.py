@@ -1,15 +1,17 @@
 import os
 import sys
 
+import pytest
+from pyspark.sql import SparkSession
+
 
 def _driver_mem() -> str:
     """~75% of the container's memory limit, for the Spark driver JVM.
 
     Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
     limit > 48g fallback. spark.driver.memory is read at JVM launch, not
-    from SparkConf, so it must be in PYSPARK_SUBMIT_ARGS before pyspark is
-    imported anywhere — this runs at conftest import, which pytest loads
-    before any test module.
+    from SparkConf: this runs at conftest import, before any test module,
+    and ``make_session`` builds PYSPARK_SUBMIT_ARGS from it pre-JVM-launch.
 
     The cgroup read is best-effort: the sandbox runs under gVisor, whose
     sysfs emulation may not pass the host limit through. An unbounded
@@ -38,17 +40,6 @@ def _driver_mem() -> str:
 
 
 os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
-os.environ.setdefault(
-    "PYSPARK_SUBMIT_ARGS",
-    f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-    f"--driver-memory {os.environ['SPARK_DRIVER_MEM']} "
-    f"--conf spark.driver.host=127.0.0.1 "
-    f"--conf spark.ui.enabled=false "
-    "pyspark-shell",
-)
-
-import pytest  # noqa: E402
-from pyspark.sql import SparkSession  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -57,14 +48,14 @@ def spark() -> SparkSession:
     ``jobs/`` entry points build theirs (``bench_harness.make_session``:
     Arrow on for the edge ``toPandas``, 4 shuffle partitions, AQE off).
 
-    Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch).
+    Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (built from
+    ``SPARK_MASTER`` and ``SPARK_DRIVER_MEM`` unless the caller set it).
     """
     from repro.bench_harness import make_session
 
     s = make_session("repro")
-    # One line in test_output.txt that tells the driver whether the
-    # cgroup derivation saw the real limit (README § Spark target).
+    # One line in the captured test output that tells whether the cgroup
+    # derivation saw the real limit.
     print(
         f"[conftest] SPARK_DRIVER_MEM={os.environ['SPARK_DRIVER_MEM']} "
         f"(src={os.environ.get('_SPARK_DRIVER_MEM_SRC', 'env')}) "

@@ -12,7 +12,10 @@ DEFAULT_DATASETS = ["wn", "uk", "sf", "bk", "tw", "bs", "gg", "wt", "lj"]
 
 
 def main() -> None:
-    args = base_parser(__doc__).parse_args()
+    parser = base_parser(__doc__)
+    args = parser.parse_args()
+    if args.k and len(args.k) > 1:
+        parser.error("Table 5 runs one k; give one --k value")
     from repro.bench_harness import (
         fmt_markdown_table,
         make_session,

@@ -42,21 +42,24 @@ DFPin = spark_util.DFPin
 
 @dataclass
 class EveResult:
-    """Output of one EVE query."""
+    """Output of one EVE query: ``reference_eve``'s edge sets and timings."""
 
     s: int
     t: int
     k: int
     #: exact E(SPG_k(s,t))
     spg: Set[Edge]
-    #: E(SPG^u_k(s,t)) — upper bound (== spg for k ≤ 4)
-    upper: Set[Edge]
     #: definite (label 2) and undetermined (label 1) edges
     definite: Set[Edge]
     undetermined: Set[Edge]
     #: wall-clock seconds of this query's phases, one key per phase in
     #: :data:`repro.core.reference.PHASES`
     timings: Dict[str, float] = field(default_factory=dict)
+
+    @property
+    def upper(self) -> Set[Edge]:
+        """E(SPG^u_k(s,t)) — upper bound (== spg for k ≤ 4)."""
+        return self.definite | self.undetermined
 
     @property
     def redundant_ratio(self) -> float:

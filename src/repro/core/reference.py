@@ -2,7 +2,8 @@
 
 :func:`reference_eve` runs the four phases over an adjacency dict — bounded
 BFS distances (:func:`repro.graphs.model.bfs_dist`), the closure form of
-Eq. (4) (:func:`ev_tables`), Algorithm 2 (:func:`label_edge`) and
+Eq. (4) (:func:`ev_tables`), Algorithm 2 (:func:`label_edge`, on the edges
+from a forward EV row to a backward one, the only ones it can label ≥ 1) and
 Algorithm 3 (:func:`repro.core.verify.verify_query`) — and times each. It
 is both the engine's kernel, which :func:`repro.core.eve.eve_spg_batch` runs
 once per query inside Spark's Python workers, and a test oracle: hypothesis
@@ -88,8 +89,9 @@ def reference_eve(
 ):
     """Full EVE for one query.
 
-    Returns ``(spg, upper, definite, undetermined, timings)``: the four edge
-    sets and ``{phase: wall seconds}`` for every phase in :data:`PHASES`.
+    Returns ``(spg, definite, undetermined, timings)``: the three edge sets
+    and ``{phase: wall seconds}`` for every phase in :data:`PHASES`. The
+    upper-bound graph SPG^u is ``definite | undetermined``.
     """
     if k < 1:
         raise ValueError(f"hop constraint k must be >= 1, got {k}")
@@ -102,20 +104,21 @@ def reference_eve(
     evb = ev_tables(radj, t, s, k, dist_prune=dist_s)
     marks.append(time.perf_counter())
 
-    edges = [(u, v) for u, vs in adj.items() for v in vs]
+    # Every clause of Algorithm 2 needs u in a forward table and v in a
+    # backward one (s and t are the layer-0 rows); every other edge fails.
+    heads = {v for layer in evb.values() for v in layer}
     definite: Set[Edge] = set()
     undetermined: Set[Edge] = set()
-    for u, v in edges:
-        lab = label_edge(u, v, evf, evb, s, t, k)
-        if lab == 2:
-            definite.add((u, v))
-        elif lab == 1:
-            undetermined.add((u, v))
-    upper = definite | undetermined
+    for u in {u for layer in evf.values() for u in layer}:
+        for v in heads.intersection(adj.get(u, ())):
+            lab = label_edge(u, v, evf, evb, s, t, k)
+            if lab == 2:
+                definite.add((u, v))
+            elif lab == 1:
+                undetermined.add((u, v))
     marks.append(time.perf_counter())
-    spg = definite | verify_query(
-        sorted(upper), sorted(undetermined), s, t, k, order=order
-    )
+    upper = sorted(definite | undetermined)
+    spg = definite | verify_query(upper, sorted(undetermined), s, t, k, order=order)
     marks.append(time.perf_counter())
     timings = {p: b - a for p, a, b in zip(PHASES, marks, marks[1:])}
-    return spg, upper, definite, undetermined, timings
+    return spg, definite, undetermined, timings

@@ -9,7 +9,8 @@ the §5.3 orders come from :mod:`repro.graphs.model`.
 Components:
 
 - :func:`departures_arrivals` — Definitions 5.1–5.4 over SPG^u, with the
-  Theorem 5.8 cap of ``k-2`` stored valid neighbors.
+  Theorem 5.8 cap of ``k-2`` stored valid neighbors; the keys of the
+  ``In_D``/``Out_A`` dicts are the departures D and the arrivals A.
 - :func:`search_orders` — §5.3: out-neighbors sorted by distance to the
   nearest arrival (arrivals first, larger ``|Out_A|`` first), in-neighbors
   by distance from the nearest departure (departures first, larger
@@ -36,10 +37,11 @@ def departures_arrivals(
     s: int,
     t: int,
     k: int,
-) -> Tuple[Set[int], Set[int], Adj, Adj]:
-    """(D, A, In_D, Out_A) per Definitions 5.1–5.4 with the k-2 cap (Thm 5.8).
+) -> Tuple[Adj, Adj]:
+    """(In_D, Out_A) per Definitions 5.1–5.4 with the k-2 cap (Thm 5.8).
 
-    ``out_adj``/``in_adj`` are SPG^u's adjacency
+    The departures D are the keys of ``In_D`` and the arrivals A the keys of
+    ``Out_A``. ``out_adj``/``in_adj`` are SPG^u's adjacency
     (:func:`repro.graphs.model.build_adjacency`).
     """
     in_d: Adj = {}
@@ -64,22 +66,20 @@ def departures_arrivals(
     es = {(u, v) for u, vs in out_adj.items() for v in vs}
     if not all((s, x) in es and (x, v) in es for v, xs in in_d.items() for x in xs):
         raise ValueError("In_D lists a vertex without its SPG^u edges")
-    return set(in_d), set(out_a), in_d, out_a
+    return in_d, out_a
 
 
 def search_orders(
     out_adj: Adj,
     in_adj: Adj,
-    D: Set[int],
-    A: Set[int],
     in_d: Adj,
     out_a: Adj,
 ) -> Tuple[Adj, Adj]:
     """§5.3 neighbor orderings; returns (ordered out_adj, ordered in_adj)."""
     # Distance from v to the closest arrival following out-edges = BFS over
     # the reversed SPG^u from the arrival set; symmetric for departures.
-    dist_to_arr = bfs_dist(in_adj, A)
-    dist_from_dep = bfs_dist(out_adj, D)
+    dist_to_arr = bfs_dist(in_adj, out_a)
+    dist_from_dep = bfs_dist(out_adj, in_d)
     inf = math.inf
 
     def okey(n: int):
@@ -101,8 +101,6 @@ def verify_kernel(
     out_adj: Adj,
     in_adj: Adj,
     undetermined: Sequence[Edge],
-    D: Set[int],
-    A: Set[int],
     in_d: Adj,
     out_a: Adj,
     k: int,
@@ -139,7 +137,7 @@ def verify_kernel(
             return True
 
         def backward(cur: int, l: int, arrival: int) -> bool:
-            if cur in D and try_add(cur, arrival):
+            if cur in in_d and try_add(cur, arrival):
                 return True
             if l < budget:
                 for nxt in in_adj.get(cur, ()):  # noqa: E203
@@ -154,7 +152,7 @@ def verify_kernel(
             return False
 
         def forward(cur: int, l: int, u: int) -> bool:
-            if cur in A and backward(u, l, cur):
+            if cur in out_a and backward(u, l, cur):
                 return True
             if l < budget:
                 for nxt in out_adj.get(cur, ()):  # noqa: E203
@@ -190,9 +188,9 @@ def verify_query(
     if k < 5 or not undetermined:
         return set()
     out_adj, in_adj = build_adjacency(spgu_edges)
-    D, A, in_d, out_a = departures_arrivals(out_adj, in_adj, s, t, k)
+    in_d, out_a = departures_arrivals(out_adj, in_adj, s, t, k)
     if order:
-        out_adj, in_adj = search_orders(out_adj, in_adj, D, A, in_d, out_a)
-    found = verify_kernel(out_adj, in_adj, undetermined, D, A, in_d, out_a, k, s, t)
+        out_adj, in_adj = search_orders(out_adj, in_adj, in_d, out_a)
+    found = verify_kernel(out_adj, in_adj, undetermined, in_d, out_a, k, s, t)
     return found & set(undetermined)
 

@@ -57,7 +57,7 @@ BY_NAME = {s.name: s for s in SPECS}
 _SCALES = {"test": 0.1, "bench": 1.0}
 
 
-def dataset_edges_pdf(name: str, scale: str = "bench", *, seed: int = 7) -> pd.DataFrame:
+def dataset_edges_pdf(name: str, scale: str = "bench") -> pd.DataFrame:
     """The stand-in edge list for dataset ``name`` at a size tier."""
     spec = BY_NAME[name]
     factor = _SCALES[scale]
@@ -65,4 +65,4 @@ def dataset_edges_pdf(name: str, scale: str = "bench", *, seed: int = 7) -> pd.D
     avg_deg = max(1.5, spec.avg_deg * (1.0 if scale == "bench" else 0.6))
     # Stable per-dataset seed offset (builtin hash() is salted per process).
     offset = sum(ord(c) * 31**i for i, c in enumerate(name)) % 1000
-    return random_digraph(spec.kind, n, avg_deg, seed=seed + offset)
+    return random_digraph(spec.kind, n, avg_deg, seed=7 + offset)

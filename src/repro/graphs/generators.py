@@ -41,19 +41,17 @@ def erdos_renyi(n: int, avg_deg: float, *, seed: int = 0) -> pd.DataFrame:
     return _dedupe(g.integers(0, n, m), g.integers(0, n, m))
 
 
-def power_law(
-    n: int, avg_deg: float, *, alpha: float = 1.4, seed: int = 0
-) -> pd.DataFrame:
+def power_law(n: int, avg_deg: float, *, seed: int = 0) -> pd.DataFrame:
     """Digraph with Zipf-distributed hub attachment on both endpoints.
 
-    Endpoints are drawn from a Zipf(alpha) rank distribution over a random
+    Endpoints are drawn from a Zipf(1.4) rank distribution over a random
     vertex permutation, yielding heavy-tailed in/out degrees — the stand-in
     for web graphs and hub-dominated miscellaneous networks.
     """
     g = np.random.default_rng(seed)
     m = int(n * avg_deg)
     ranks = np.arange(1, n + 1, dtype="float64")
-    w = 1.0 / ranks**alpha
+    w = 1.0 / ranks**1.4
     w /= w.sum()
     perm = g.permutation(n)
     src = perm[g.choice(n, size=m, p=w)]
@@ -62,18 +60,13 @@ def power_law(
 
 
 def community(
-    n: int,
-    avg_deg: float,
-    *,
-    n_comm: int = 8,
-    p_in: float = 0.9,
-    seed: int = 0,
+    n: int, avg_deg: float, *, n_comm: int = 8, seed: int = 0
 ) -> pd.DataFrame:
     """Planted-partition digraph: ``n_comm`` dense communities, sparse bridges.
 
     Stand-in for social networks and strongly cohesive web communities — the
     structure the paper names as the source of overlapping s-t simple paths.
-    ``p_in`` is the probability an edge stays inside its source's community.
+    An edge stays inside its source's community with probability 0.9.
     """
     g = np.random.default_rng(seed)
     m = int(n * avg_deg)
@@ -82,7 +75,7 @@ def community(
     # Guard against empty communities at tiny n.
     members = [mem if len(mem) else np.arange(n) for mem in members]
     src = g.integers(0, n, m)
-    inside = g.random(m) < p_in
+    inside = g.random(m) < 0.9
     dst = np.empty(m, dtype="int64")
     for i, u in enumerate(src):
         pool = members[comm[u]] if inside[i] else None
@@ -144,14 +137,12 @@ def figure1_graph() -> pd.DataFrame:
     return pd.DataFrame(pairs, columns=["src", "dst"], dtype="int64")
 
 
-def random_digraph(
-    kind: str, n: int, avg_deg: float, *, seed: int = 0, **kwargs
-) -> pd.DataFrame:
+def random_digraph(kind: str, n: int, avg_deg: float, *, seed: int = 0) -> pd.DataFrame:
     """Dispatch by generator kind (``er`` / ``power_law`` / ``community``)."""
     if kind == "er":
         return erdos_renyi(n, avg_deg, seed=seed)
     if kind == "power_law":
-        return power_law(n, avg_deg, seed=seed, **kwargs)
+        return power_law(n, avg_deg, seed=seed)
     if kind == "community":
-        return community(n, avg_deg, seed=seed, **kwargs)
+        return community(n, avg_deg, seed=seed)
     raise ValueError(f"unknown generator kind: {kind!r}")

@@ -17,20 +17,16 @@ from repro.graphs.model import adjacency, bfs_dist
 
 
 def random_queries(
-    edges_pdf: pd.DataFrame,
-    k: int,
-    n_queries: int,
-    *,
-    seed: int = 0,
-    max_tries: int = 4000,
+    edges_pdf: pd.DataFrame, k: int, n_queries: int, *, seed: int = 0
 ) -> List[Tuple[int, int]]:
-    """Seeded random (s,t) pairs with ``t`` k-hop-reachable from ``s``, s≠t."""
+    """Seeded random (s,t) pairs with ``t`` k-hop-reachable from ``s``, s≠t;
+    raises after 4000 source draws without ``n_queries`` pairs."""
     g = np.random.default_rng(seed)
     adj = adjacency(edges_pdf)
     sources = sorted(adj.keys())
     out: List[Tuple[int, int]] = []
     tries = 0
-    while sources and len(out) < n_queries and tries < max_tries:
+    while sources and len(out) < n_queries and tries < 4000:
         tries += 1
         s = int(sources[g.integers(0, len(sources))])
         reach = [v for v in bfs_dist(adj, (s,), k) if v != s]

@@ -1,24 +1,17 @@
 """Shared fixtures for the reproduction test suite.
 
-``ensure_session_env`` runs at import — after the root conftest has set
-``PYSPARK_SUBMIT_ARGS`` but before the JVM launches — to point shuffle
-directories at tmpfs and silence the console progress bar (see
-``repro.spark_util``). Heavy Spark results (EVE batches per graph/k combo,
-Figure-1 runs) are computed once in session-scoped fixtures and shared by
-many parametrized tests.
+Heavy Spark results (EVE batches per graph/k combo, Figure-1 runs) are
+computed once in session-scoped fixtures and shared by many parametrized
+tests; the ``spark`` session itself comes from the root ``conftest.py``.
 """
-from repro.spark_util import ensure_session_env
+from dataclasses import dataclass
+from typing import Dict, List, Set, Tuple
 
-ensure_session_env()
+import pytest
 
-from dataclasses import dataclass  # noqa: E402
-from typing import Dict, List, Set, Tuple  # noqa: E402
-
-import pytest  # noqa: E402
-
-from repro.baselines import bruteforce as bf  # noqa: E402
-from repro.core.eve import EveResult, eve_spg_batch  # noqa: E402
-from repro.graphs.generators import (  # noqa: E402
+from repro.baselines import bruteforce as bf
+from repro.core.eve import EveResult, eve_spg_batch
+from repro.graphs.generators import (
     FIG1_IDS,
     community,
     erdos_renyi,
@@ -28,16 +21,10 @@ from repro.graphs.generators import (  # noqa: E402
     random_digraph,
     to_spark,
 )
-from repro.graphs.model import adjacency  # noqa: E402
-from repro.graphs.queries import random_queries  # noqa: E402
+from repro.graphs.model import adjacency
+from repro.graphs.queries import random_queries
 
 Edge = Tuple[int, int]
-
-
-@pytest.fixture(scope="session")
-def gspark(spark):
-    """The session SparkSession (see the root ``conftest.py``)."""
-    return spark
 
 
 # ---------------------------------------------------------------------------
@@ -62,8 +49,8 @@ def fig1() -> GraphCase:
 
 
 @pytest.fixture(scope="session")
-def fig1_edges(gspark, fig1):
-    e = to_spark(gspark, fig1.pdf).repartition(1).cache()
+def fig1_edges(spark, fig1):
+    e = to_spark(spark, fig1.pdf).repartition(1).cache()
     e.count()
     return e
 
@@ -95,16 +82,16 @@ class EveCase:
 
 
 @pytest.fixture(scope="session")
-def eve_cases(gspark) -> Dict[str, List[EveCase]]:
+def eve_cases(spark) -> Dict[str, List[EveCase]]:
     """EVE batches + brute-force truth for every combo (computed once)."""
     out: Dict[str, List[EveCase]] = {}
     for name, gkw, k, nq in EVE_COMBOS:
         pdf = random_digraph(**gkw)
         adj = adjacency(pdf)
-        edges = to_spark(gspark, pdf).repartition(1).cache()
+        edges = to_spark(spark, pdf).repartition(1).cache()
         edges.count()
         qs = random_queries(pdf, k, nq, seed=17)
-        results = eve_spg_batch(gspark, edges, qs, k)
+        results = eve_spg_batch(spark, edges, qs, k)
         cases = []
         for (s, t), res in zip(qs, results):
             cases.append(
@@ -119,11 +106,11 @@ def eve_cases(gspark) -> Dict[str, List[EveCase]]:
 
 
 @pytest.fixture(scope="session")
-def fig1_eve(gspark, fig1, fig1_edges) -> Dict[int, EveResult]:
+def fig1_eve(spark, fig1, fig1_edges) -> Dict[int, EveResult]:
     """Fig-1 EVE results for the k values the paper's examples use."""
     s, t = FIG1_IDS["s"], FIG1_IDS["t"]
     return {
-        k: eve_spg_batch(gspark, fig1_edges, [(s, t)], k)[0]
+        k: eve_spg_batch(spark, fig1_edges, [(s, t)], k)[0]
         for k in (4, 5, 7)
     }
 

@@ -16,12 +16,12 @@ K = 5
 
 
 @pytest.fixture(scope="module")
-def txn_graph(gspark):
+def txn_graph(spark):
     # Hub-heavy "account" graph: transactions cluster around a few accounts,
     # which is what produces short money-laundering cycles.
     pdf = random_digraph("power_law", 80, 4, seed=41)
     adj = adjacency(pdf)
-    edges = to_spark(gspark, pdf).repartition(1).cache()
+    edges = to_spark(spark, pdf).repartition(1).cache()
     edges.count()
     return pdf, adj, edges
 
@@ -36,7 +36,7 @@ def _cycle_edges(adj, t, s, k):
     return out
 
 
-def test_cycle_extraction_matches_reference(gspark, txn_graph):
+def test_cycle_extraction_matches_reference(spark, txn_graph):
     pdf, adj, edges, = txn_graph
     # pick suspicious transactions: edges (t, s) that lie on some cycle
     suspicious = []
@@ -46,7 +46,7 @@ def test_cycle_extraction_matches_reference(gspark, txn_graph):
         if len(suspicious) == 5:
             break
     assert suspicious, "generator produced no short cycles"
-    results = eve_spg_batch(gspark, edges, suspicious, K)
+    results = eve_spg_batch(spark, edges, suspicious, K)
     for (s, t), res in zip(suspicious, results):
         want = _cycle_edges(adj, t, s, K)
         assert res.spg | {(t, s)} == want

@@ -40,8 +40,8 @@ def test_relative_density_ordering_preserved():
 
 
 
-def test_spark_loading(gspark):
+def test_spark_loading(spark):
     pdf = D.dataset_edges_pdf("tw", "test")
-    df = to_spark(gspark, pdf)
+    df = to_spark(spark, pdf)
     assert df.dtypes == [("src", "bigint"), ("dst", "bigint")]
     assert df.count() == len(pdf)

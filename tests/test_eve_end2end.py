@@ -63,9 +63,8 @@ def test_matches_reference_implementation(eve_cases, name):
     """Spark dataflow ≡ pure-Python reference EVE (labels and answer)."""
     for c in _cases(eve_cases, name):
         adj = adjacency(c.pdf)
-        spg, upper, definite, undet, _ = reference_eve(adj, c.s, c.t, c.k)
+        spg, definite, undet, _ = reference_eve(adj, c.s, c.t, c.k)
         assert c.result.spg == spg
-        assert c.result.upper == upper
         assert c.result.definite == definite
         assert c.result.undetermined == undet
 
@@ -97,24 +96,24 @@ ABLATIONS = [
 
 
 @pytest.fixture(scope="module")
-def ablation_setup(gspark):
+def ablation_setup(spark):
     gkw = dict(kind="community", n=80, avg_deg=5, seed=23)
     pdf = random_digraph(**gkw)
-    edges = to_spark(gspark, pdf).repartition(1).cache()
+    edges = to_spark(spark, pdf).repartition(1).cache()
     edges.count()
     k = 6
     qs = random_queries(pdf, k, 6, seed=3)
-    base = eve_spg_batch(gspark, edges, qs, k)
+    base = eve_spg_batch(spark, edges, qs, k)
     return pdf, edges, k, qs, base
 
 
 @pytest.mark.parametrize(
     "opts", ABLATIONS, ids=[str(sorted(a.items())) for a in ABLATIONS]
 )
-def test_ablations_do_not_change_answers(gspark, ablation_setup, opts):
+def test_ablations_do_not_change_answers(spark, ablation_setup, opts):
     """Pruning and ordering are pure optimisations."""
     pdf, edges, k, qs, base = ablation_setup
-    got = eve_spg_batch(gspark, edges, qs, k, **opts)
+    got = eve_spg_batch(spark, edges, qs, k, **opts)
     for b, g in zip(base, got):
         assert g.spg == b.spg
         assert g.upper == b.upper
@@ -128,31 +127,31 @@ def test_ablation_base_matches_truth(ablation_setup):
         assert res.spg == bf.spg_edges(adj, s, t, k)
 
 
-def test_rejects_s_equals_t(gspark, fig1_edges):
+def test_rejects_s_equals_t(spark, fig1_edges):
     with pytest.raises(ValueError):
-        eve_spg_batch(gspark, fig1_edges, [(0, 0)], 4)
+        eve_spg_batch(spark, fig1_edges, [(0, 0)], 4)
 
 
 @pytest.mark.parametrize("k", [0, -1])
-def test_rejects_k_below_1(gspark, fig1_edges, k):
+def test_rejects_k_below_1(spark, fig1_edges, k):
     with pytest.raises(ValueError, match="k must be >= 1"):
-        eve_spg_batch(gspark, fig1_edges, [(0, 1)], k)
+        eve_spg_batch(spark, fig1_edges, [(0, 1)], k)
 
 
-def test_rejects_per_query_edge_table(gspark, fig1_edges):
+def test_rejects_per_query_edge_table(spark, fig1_edges):
     """A ``(qid, src, dst)`` table would be read as the union of its graphs."""
     per_query = fig1_edges.selectExpr("0 AS qid", "src", "dst")
     with pytest.raises(ValueError, match="not per-query edge sets"):
-        eve_spg_batch(gspark, per_query, [(FIG1_IDS["s"], FIG1_IDS["t"])], 5)
+        eve_spg_batch(spark, per_query, [(FIG1_IDS["s"], FIG1_IDS["t"])], 5)
 
 
 @pytest.mark.parametrize("k", [4, 6])
-def test_timings_keys_do_not_depend_on_time_phases(gspark, fig1_edges, k):
+def test_timings_keys_do_not_depend_on_time_phases(spark, fig1_edges, k):
     """Every result times its own query's four phases, with or without
     ``time_phases``."""
     qs = [(FIG1_IDS["s"], FIG1_IDS["t"]), (FIG1_IDS["a"], FIG1_IDS["t"])]
     for time_phases in (False, True):
-        for res in eve_spg_batch(gspark, fig1_edges, qs, k, time_phases=time_phases):
+        for res in eve_spg_batch(spark, fig1_edges, qs, k, time_phases=time_phases):
             assert list(res.timings) == list(PHASES)
             assert all(sec >= 0 for sec in res.timings.values())
 
@@ -174,15 +173,15 @@ def _workload(pdf, edges, qs, k):
 
 
 @pytest.mark.parametrize("runner", RUNNERS)
-def test_empty_batch(gspark, fig1, fig1_edges, runner):
-    assert RUNNERS[runner](gspark, _workload(fig1.pdf, fig1_edges, [], 5)) == []
+def test_empty_batch(spark, fig1, fig1_edges, runner):
+    assert RUNNERS[runner](spark, _workload(fig1.pdf, fig1_edges, [], 5)) == []
 
 
-def test_batch_results_share_edge_tuples(gspark, fig1_edges):
+def test_batch_results_share_edge_tuples(spark, fig1_edges):
     """Answers computed in different Python workers refer to one tuple per
     distinct edge, so a caller that keeps many results holds each edge once."""
     qs = [(FIG1_IDS["s"], FIG1_IDS["t"]), (FIG1_IDS["a"], FIG1_IDS["t"])] * 3
-    results = eve_spg_batch(gspark, fig1_edges, qs, 6)
+    results = eve_spg_batch(spark, fig1_edges, qs, 6)
     canon = {}
     for res in results:
         for e in (*res.upper, *res.spg, *res.definite, *res.undetermined):
@@ -191,14 +190,14 @@ def test_batch_results_share_edge_tuples(gspark, fig1_edges):
 
 
 @pytest.mark.parametrize("runner", RUNNERS)
-def test_batch_runs_in_two_spark_jobs(gspark, fig1, fig1_edges, runner):
+def test_batch_runs_in_two_spark_jobs(spark, fig1, fig1_edges, runner):
     """One batch is the edge collect plus the answer collect, at any Q."""
-    sc = gspark.sparkContext
+    sc = spark.sparkContext
     group = f"test-batch-jobs-{runner}"
     qs = [(FIG1_IDS["s"], FIG1_IDS["t"])] * 9
     sc.setJobGroup(group, f"one {runner} batch")
     try:
-        RUNNERS[runner](gspark, _workload(fig1.pdf, fig1_edges, qs, 7))
+        RUNNERS[runner](spark, _workload(fig1.pdf, fig1_edges, qs, 7))
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
     sc._jsc.sc().listenerBus().waitUntilEmpty()
@@ -215,7 +214,7 @@ SINK = 10_001  # has an out-edge only, so no query reaches it
 
 
 @pytest.fixture(scope="module")
-def plumbing_graph(gspark):
+def plumbing_graph(spark):
     """A random graph plus self-loops, duplicate rows and a source-only vertex,
     as an edge DataFrame that is neither deduplicated nor canonicalised."""
     pdf = random_digraph("er", 30, 3, seed=4)
@@ -225,15 +224,15 @@ def plumbing_graph(gspark):
         columns=["src", "dst"],
     )
     pdf = pd.concat([pdf, pdf.iloc[:5], extra], ignore_index=True)
-    return pdf, gspark.createDataFrame(pdf)
+    return pdf, spark.createDataFrame(pdf)
 
 
 @pytest.fixture(scope="module")
-def plumbing_truth(gspark, plumbing_graph):
+def plumbing_truth(spark, plumbing_graph):
     """``k`` → (batch, brute-force SPG per query), each k computed once."""
     pdf, _ = plumbing_graph
     adj = adjacency(pdf)
-    n_queries = 2 * gspark.sparkContext.defaultParallelism + 1
+    n_queries = 2 * spark.sparkContext.defaultParallelism + 1
     cache = {}
 
     def truth(k):
@@ -256,7 +255,7 @@ def plumbing_truth(gspark, plumbing_graph):
     ],
 )
 def test_batch_plumbing_matches_bruteforce(
-    gspark, plumbing_graph, plumbing_truth, runner, k
+    spark, plumbing_graph, plumbing_truth, runner, k
 ):
     """Each answer of a batch larger than its partition count, with a
     duplicate query, absent endpoints and an unreachable t, is its own
@@ -264,13 +263,13 @@ def test_batch_plumbing_matches_bruteforce(
     pdf, edges = plumbing_graph
     qs, truth = plumbing_truth(k)
     if runner == "eve":
-        results = eve_spg_batch(gspark, edges, qs, k)
+        results = eve_spg_batch(spark, edges, qs, k)
         for (s, t), res in zip(qs, results):
             assert (res.s, res.t, res.k) == (s, t, k)
             assert res.definite <= res.spg <= res.upper
         got = [res.spg for res in results]
     else:
-        got = RUNNERS[runner](gspark, _workload(pdf, edges, qs, k))
+        got = RUNNERS[runner](spark, _workload(pdf, edges, qs, k))
     assert len(got) == len(qs)
     for (s, t), es, want in zip(qs, got, truth):
         assert es >= want if runner in SUPERSET else es == want, (s, t)
@@ -278,7 +277,7 @@ def test_batch_plumbing_matches_bruteforce(
     assert not got[-4] and not got[-3] and not got[-2]
 
 
-def test_duplicate_rows_are_one_edge(gspark, plumbing_graph, plumbing_truth):
+def test_duplicate_rows_are_one_edge(spark, plumbing_graph, plumbing_truth):
     """A duplicated row is one edge (``E`` is a set in Definition 2.1): the
     enumeration kernels list each simple path once, and JOIN and PathEnum
     count as many paths as brute force."""
@@ -300,4 +299,4 @@ def test_duplicate_rows_are_one_edge(gspark, plumbing_graph, plumbing_truth):
             assert sorted(got) == paths, (s, t)
     w = _workload(pdf, edges, qs, k)
     for algo in ("join", "pathenum"):
-        assert H.run_path_enumeration(gspark, w, algo)[0] == sum(map(len, want)), algo
+        assert H.run_path_enumeration(spark, w, algo)[0] == sum(map(len, want)), algo

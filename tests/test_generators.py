@@ -42,7 +42,7 @@ def test_power_law_has_heavier_hubs_than_er():
 
 
 def test_community_is_assortative():
-    pdf = G.community(300, 6, n_comm=6, p_in=0.9, seed=8)
+    pdf = G.community(300, 6, n_comm=6, seed=8)
     # recover the planted partition from the generator's own RNG stream
     rng = np.random.default_rng(8)
     comm = rng.integers(0, 6, 300)
@@ -73,8 +73,8 @@ def test_unknown_kind_rejected():
         G.random_digraph("hypercube", 10, 2)
 
 
-def test_to_spark_roundtrip(gspark):
+def test_to_spark_roundtrip(spark):
     pdf = G.erdos_renyi(50, 3, seed=2)
-    df = G.to_spark(gspark, pdf)
+    df = G.to_spark(spark, pdf)
     assert df.count() == len(pdf)
     assert df.columns == ["src", "dst"]

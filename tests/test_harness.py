@@ -7,8 +7,8 @@ from repro.graphs.model import adjacency
 
 
 @pytest.fixture(scope="module")
-def workload(gspark):
-    return H.make_workload(gspark, "tw", 4, scale="test", n_queries=4, seed=1)
+def workload(spark):
+    return H.make_workload(spark, "tw", 4, scale="test", n_queries=4, seed=1)
 
 
 def test_make_workload(workload):
@@ -17,22 +17,22 @@ def test_make_workload(workload):
     assert workload.edges.count() == len(workload.edges_pdf)
 
 
-def test_run_eve_matches_truth(gspark, workload):
-    results, secs = H.run_eve(gspark, workload)
+def test_run_eve_matches_truth(spark, workload):
+    results, secs = H.run_eve(spark, workload)
     assert secs > 0
     adj = adjacency(workload.edges_pdf)
     for (s, t), res in zip(workload.queries, results):
         assert res.spg == bf.spg_edges(adj, s, t, workload.k)
 
 
-def test_run_spg_via_enumeration_matches_eve(gspark, workload):
-    results, _ = H.run_eve(gspark, workload)
-    spg, secs = H.run_spg_via_enumeration(gspark, workload, "pathenum")
+def test_run_spg_via_enumeration_matches_eve(spark, workload):
+    results, _ = H.run_eve(spark, workload)
+    spg, secs = H.run_spg_via_enumeration(spark, workload, "pathenum")
     assert spg == [res.spg for res in results]
 
 
-def test_run_path_enumeration_counts(gspark, workload):
-    n, secs = H.run_path_enumeration(gspark, workload, "join")
+def test_run_path_enumeration_counts(spark, workload):
+    n, secs = H.run_path_enumeration(spark, workload, "join")
     adj = adjacency(workload.edges_pdf)
     want = sum(
         len(bf.simple_paths(adj, s, t, workload.k)) for s, t in workload.queries
@@ -40,21 +40,21 @@ def test_run_path_enumeration_counts(gspark, workload):
     assert n == want
 
 
-def test_budget_exceeded_returns_none(gspark, workload):
-    n, secs = H.run_path_enumeration(gspark, workload, "join", max_rows=1)
+def test_budget_exceeded_returns_none(spark, workload):
+    n, secs = H.run_path_enumeration(spark, workload, "join", max_rows=1)
     assert n is None
-    spg, secs = H.run_spg_via_enumeration(gspark, workload, "pathenum", max_rows=1)
+    spg, secs = H.run_spg_via_enumeration(spark, workload, "pathenum", max_rows=1)
     assert spg is None
 
 
-def test_run_gkst_superset(gspark, workload):
-    sets, _ = H.run_gkst(gspark, workload, adaptive=True)
+def test_run_gkst_superset(spark, workload):
+    sets, _ = H.run_gkst(spark, workload, adaptive=True)
     adj = adjacency(workload.edges_pdf)
     for i, (s, t) in enumerate(workload.queries):
         assert sets[i] >= bf.spg_edges(adj, s, t, workload.k)
 
 
-def test_reduced_graphs_stay_per_query(gspark, workload):
+def test_reduced_graphs_stay_per_query(spark, workload):
     """Each query searches only its own reduced edge set: with query 0 given
     its SPG and every other query an empty set, only query 0's paths count
     (the Table 4/5 "on G^k_st / on SPG_k" runs)."""
@@ -62,9 +62,9 @@ def test_reduced_graphs_stay_per_query(gspark, workload):
     (s, t), k = workload.queries[0], workload.k
     reduced = [bf.spg_edges(adj, s, t, k)] + [set()] * (len(workload.queries) - 1)
     for algo in ("join", "pathenum"):
-        n, _ = H.run_path_enumeration(gspark, workload, algo, reduced=reduced)
+        n, _ = H.run_path_enumeration(spark, workload, algo, reduced=reduced)
         assert n == len(bf.simple_paths(adj, s, t, k))
-        spg, _ = H.run_spg_via_enumeration(gspark, workload, algo, reduced=reduced)
+        spg, _ = H.run_spg_via_enumeration(spark, workload, algo, reduced=reduced)
         assert spg == reduced
 
 

@@ -35,3 +35,11 @@ def test_job_runs(tmp_path, job, args):
     )
     assert proc.returncode == 0, proc.stderr[-3000:]
     assert "| tw |" in proc.stdout
+
+
+def test_table5_rejects_several_k():
+    """Table 5 runs one k, so a second ``--k`` value is an error, not dropped."""
+    job = ROOT / "jobs" / "table5_spg_via_gkst.py"
+    proc = subprocess.run([sys.executable, str(job), "--k", "5", "6"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and "one k" in proc.stderr

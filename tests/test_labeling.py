@@ -4,6 +4,7 @@ import pandas as pd
 import pytest
 
 from repro.baselines import bruteforce as bf
+from repro.core import reference
 from repro.core.reference import label_edge, reference_eve
 from repro.graphs.generators import FIG1_IDS, random_digraph
 from repro.graphs.model import adjacency, reverse_adj
@@ -13,9 +14,9 @@ K = 6
 N_QUERIES = 4
 
 
-def _labels(adj, s, t, k):
-    """``{edge: label ≥ 1}`` as ``reference_eve`` labels them (pruned tables)."""
-    _, _, definite, undetermined, _ = reference_eve(adj, s, t, k)
+def _labels(adj, s, t, k, prune=True):
+    """``{edge: label ≥ 1}`` as ``reference_eve`` labels them."""
+    _, definite, undetermined, _ = reference_eve(adj, s, t, k, prune=prune)
     return {**{e: 1 for e in undetermined}, **{e: 2 for e in definite}}
 
 
@@ -33,17 +34,33 @@ def _definition_layers(adj, source, avoid, k):
     return {l: {v: per_l[l] for v, per_l in ev.items() if l in per_l} for l in range(k)}
 
 
-@pytest.mark.parametrize("qid", range(N_QUERIES))
-def test_labels_match_reference(labeled, qid):
-    """Every label from the pruned Eq. 4 tables equals Algorithm 2 run on
-    the Definition 3.1 tables."""
-    adj, qs, labels = labeled
+@pytest.mark.parametrize(
+    "qid, prune",
+    [pytest.param(q, True, id=str(q)) for q in range(N_QUERIES)]
+    + [pytest.param(q, False, id=f"{q}-unpruned") for q in range(N_QUERIES)],
+)
+def test_labels_match_reference(labeled, qid, prune):
+    """Every label from the Eq. 4 tables, pruned or not, equals Algorithm 2
+    run on the Definition 3.1 tables over every edge of G."""
+    adj, qs, _ = labeled
     s, t = qs[qid]
+    labels = _labels(adj, s, t, K, prune)
     evf = _definition_layers(adj, s, t, K)
     evb = _definition_layers(reverse_adj(adj), t, s, K)
     for u, vs in adj.items():
         for v in vs:
-            assert labels[qid].get((u, v), 0) == label_edge(u, v, evf, evb, s, t, K)
+            assert labels.get((u, v), 0) == label_edge(u, v, evf, evb, s, t, K)
+
+
+def test_labeling_skips_edges_outside_the_ev_tables(fig1, monkeypatch):
+    """Only edges from a forward EV row to a backward one are labeled, so a
+    component that s cannot reach costs no ``label_edge`` call."""
+    far = {100: [101, 102], 101: [102], 102: [100]}
+    tails = []
+    monkeypatch.setattr(reference, "label_edge",
+                        lambda u, *rest: tails.append(u) or label_edge(u, *rest))
+    reference_eve({**fig1.adj, **far}, FIG1_IDS["s"], FIG1_IDS["t"], 7)
+    assert tails and far.keys().isdisjoint(tails)
 
 
 @pytest.mark.parametrize("qid", range(N_QUERIES))

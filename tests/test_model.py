@@ -29,8 +29,8 @@ def test_adjacency_helpers():
     )
 
 
-def test_empty_edges(gspark):
+def test_empty_edges(spark):
     pdf = pd.DataFrame({c: pd.Series(dtype="int64") for c in ("src", "dst")})
     assert M.adjacency(pdf) == {}
     assert M.reverse_adj({}) == {}
-    assert to_spark(gspark, pdf).count() == 0
+    assert to_spark(spark, pdf).count() == 0

@@ -61,6 +61,6 @@ def test_raises_when_impossible():
     # A graph whose only edge is a self-loop has no reachable pair, and a
     # graph with no edges has no source to draw.
     with pytest.raises(RuntimeError):
-        random_queries(pd.DataFrame({"src": [5], "dst": [5]}), 2, 3, max_tries=10)
+        random_queries(pd.DataFrame({"src": [5], "dst": [5]}), 2, 3)
     with pytest.raises(RuntimeError):
         random_queries(pd.DataFrame({"src": [], "dst": []}), 2, 3)

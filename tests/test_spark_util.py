@@ -25,10 +25,10 @@ spark.stop()
 """
 
 
-def test_dfpin_truncates_lineage(gspark):
+def test_dfpin_truncates_lineage(spark):
     import pandas as pd
 
-    df = gspark.createDataFrame(pd.DataFrame({"a": range(10)}))
+    df = spark.createDataFrame(pd.DataFrame({"a": range(10)}))
     pin = su.DFPin()
     for _ in range(5):
         df = pin(df.selectExpr("a + 1 AS a"))

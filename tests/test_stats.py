@@ -4,8 +4,7 @@ from repro.core.eve import EveResult
 
 def _res(spg, upper):
     return EveResult(
-        s=0, t=1, k=5, spg=set(spg), upper=set(upper),
-        definite=set(), undetermined=set(),
+        s=0, t=1, k=5, spg=set(spg), definite=set(), undetermined=set(upper),
     )
 
 

@@ -16,8 +16,8 @@ from repro.graphs.model import adjacency, build_adjacency
 
 
 def _upper_parts(adj, s, t, k):
-    spg, upper, definite, undet, _ = reference_eve(adj, s, t, k)
-    return spg, sorted(upper), sorted(undet), definite
+    spg, definite, undet, _ = reference_eve(adj, s, t, k)
+    return spg, sorted(definite | undet), sorted(undet), definite
 
 
 def _random_case(seed, k=6):
@@ -40,7 +40,7 @@ def test_departures_match_definition(seed):
     adj, s, t, k = _random_case(seed)
     spg, upper, undet, definite = _upper_parts(adj, s, t, k)
     es = set(map(tuple, upper))
-    D, A, in_d, out_a = departures_arrivals(*build_adjacency(upper), s, t, k)
+    in_d, out_a = departures_arrivals(*build_adjacency(upper), s, t, k)
     expect_D = {
         v
         for (x, v) in es
@@ -51,8 +51,8 @@ def test_departures_match_definition(seed):
         for (v, y) in es
         if (y, t) in es and len({v, y, s, t}) == 4
     }
-    assert D == expect_D
-    assert A == expect_A
+    assert set(in_d) == expect_D
+    assert set(out_a) == expect_A
     for v, xs in in_d.items():
         assert len(xs) <= max(0, k - 2)
         for x in xs:
@@ -70,8 +70,8 @@ def test_kernel_confirms_exactly_truth(seed):
     truth = bf.spg_edges(adj, s, t, k)
     spg, upper, undet, definite = _upper_parts(adj, s, t, k)
     out_adj, in_adj = build_adjacency(upper)
-    D, A, in_d, out_a = departures_arrivals(out_adj, in_adj, s, t, k)
-    found = verify_kernel(out_adj, in_adj, undet, D, A, in_d, out_a, k, s, t)
+    in_d, out_a = departures_arrivals(out_adj, in_adj, s, t, k)
+    found = verify_kernel(out_adj, in_adj, undet, in_d, out_a, k, s, t)
     assert (found & set(undet)) == (set(undet) & truth)
 
 
@@ -81,10 +81,10 @@ def test_ordering_is_pure_optimisation(seed):
     truth = bf.spg_edges(adj, s, t, k)
     spg, upper, undet, definite = _upper_parts(adj, s, t, k)
     out_adj, in_adj = build_adjacency(upper)
-    D, A, in_d, out_a = departures_arrivals(out_adj, in_adj, s, t, k)
-    plain = verify_kernel(out_adj, in_adj, undet, D, A, in_d, out_a, k, s, t)
-    o_out, o_in = search_orders(out_adj, in_adj, D, A, in_d, out_a)
-    ordered = verify_kernel(o_out, o_in, undet, D, A, in_d, out_a, k, s, t)
+    in_d, out_a = departures_arrivals(out_adj, in_adj, s, t, k)
+    plain = verify_kernel(out_adj, in_adj, undet, in_d, out_a, k, s, t)
+    o_out, o_in = search_orders(out_adj, in_adj, in_d, out_a)
+    ordered = verify_kernel(o_out, o_in, undet, in_d, out_a, k, s, t)
     assert (plain & set(undet)) == (ordered & set(undet))
 
 
@@ -93,11 +93,9 @@ def test_search_orders_sort_keys():
     # Graph: 0→1→2→3, 0→2, plus arrivals A={2,3}; Out_A sizes differ.
     out_adj = {0: [1, 2], 1: [2], 2: [3]}
     in_adj = {1: [0], 2: [0, 1], 3: [2]}
-    D = {0}
-    A = {2, 3}
     in_d = {0: [9]}
     out_a = {2: [7, 8], 3: [7]}
-    o_out, _ = search_orders(out_adj, in_adj, D, A, in_d, out_a)
+    o_out, _ = search_orders(out_adj, in_adj, in_d, out_a)
     # From 0: both 1 and 2 reachable; 2 is an arrival (dist 0) → first.
     assert o_out[0] == [2, 1]
 
@@ -108,9 +106,9 @@ def test_kernel_k5_needs_no_expansion():
     # Construct a synthetic upper graph where (2,3) connects D and A.
     upper = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
     out_adj, in_adj = build_adjacency(upper)
-    D, A, in_d, out_a = departures_arrivals(out_adj, in_adj, 0, 5, 5)
-    assert D == {2} and A == {3}
-    found = verify_kernel(out_adj, in_adj, [(2, 3)], D, A, in_d, out_a, 5, 0, 5)
+    in_d, out_a = departures_arrivals(out_adj, in_adj, 0, 5, 5)
+    assert set(in_d) == {2} and set(out_a) == {3}
+    found = verify_kernel(out_adj, in_adj, [(2, 3)], in_d, out_a, 5, 0, 5)
     assert (2, 3) in found
 
 
@@ -121,14 +119,10 @@ def test_kernel_rejects_when_neighbors_collide():
     # vertex (1): TryAddEdges must reject (no distinct x ≠ y).
     upper = [(0, 1), (1, 2), (2, 3), (3, 1)]
     out_adj, in_adj = build_adjacency(upper)
-    found = verify_kernel(
-        out_adj, in_adj, [(2, 3)], {2}, {3}, {2: [1]}, {3: [1]}, 5, 0, 9
-    )
+    found = verify_kernel(out_adj, in_adj, [(2, 3)], {2: [1]}, {3: [1]}, 5, 0, 9)
     assert not found
     # With distinct neighbors it passes.
-    found2 = verify_kernel(
-        out_adj, in_adj, [(2, 3)], {2}, {3}, {2: [1]}, {3: [4]}, 5, 0, 9
-    )
+    found2 = verify_kernel(out_adj, in_adj, [(2, 3)], {2: [1]}, {3: [4]}, 5, 0, 9)
     assert (2, 3) in found2
 
 
