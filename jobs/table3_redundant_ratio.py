@@ -30,7 +30,7 @@ def main() -> None:
                     spark, name, k,
                     scale=args.scale, n_queries=args.queries, seed=args.seed,
                 )
-                results, secs = run_eve(spark, w)
+                results, _ = run_eve(spark, w)
                 ratios = [r.redundant_ratio for r in results]
                 row.append(f"{100 * sum(ratios) / len(ratios):.4f}%")
                 w.edges.unpersist()

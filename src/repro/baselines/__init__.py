@@ -1,7 +1,7 @@
 """Baseline algorithms and ground-truth reference implementations.
 
-Every baseline answers one query over an adjacency dict
-(:mod:`repro.graphs.model`, which also gives the reversed graph and the
+Every baseline answers one query over a :class:`repro.graphs.model.Graph`
+(whose cached ``rev`` is the reversed graph; the module also gives the
 BFS), in plain Python; ``bench_harness`` runs it once per query in Spark's
 Python workers through :func:`repro.spark_util.map_queries`, the runner EVE
 uses too.

@@ -2,7 +2,7 @@
 
 The straightforward way to generate SPG_k(s,t) — enumerate every simple
 path and union the edges — is the paper's baseline family. Each function
-here answers one query over an adjacency dict; ``bench_harness`` runs it in
+here answers one query over a ``Graph``; ``bench_harness`` runs it in
 Spark's Python workers through :func:`repro.spark_util.map_queries`.
 
 - :func:`dfs_paths` — simple path prefixes grown from ``s``, the one
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Tuple
 
-from repro.graphs.model import Adj, reverse_adj
+from repro.graphs.model import Adj, Graph
 
 Path = Tuple[int, ...]
 Dist = Optional[Dict[int, int]]
@@ -69,7 +69,7 @@ def dfs_paths(
 
 
 def join_paths(
-    adj: Adj, s: int, t: int, k: int, *, dist_s: Dist = None, dist_t: Dist = None,
+    adj: Graph, s: int, t: int, k: int, *, dist_s: Dist = None, dist_t: Dist = None,
     max_rows: Optional[int] = None,
 ) -> Optional[List[Path]]:
     """JOIN-based enumeration: all simple s-t paths with ≤ k edges, or
@@ -90,7 +90,7 @@ def join_paths(
         return None
     paths, levels = fwd
     budget -= len(paths) + sum(map(len, levels))
-    bwd = _grow(reverse_adj(adj), t, s, k - h1, k, dist_s, budget)
+    bwd = _grow(adj.rev, t, s, k - h1, k, dist_s, budget)
     if bwd is None:
         return None
     # Suffixes are stored as [t, …, meeting vertex].

@@ -4,8 +4,9 @@
 of length ≤ k, i.e. edges ``e(u,v)`` with ``Δ(s,u) + 1 + Δ(v,t) ≤ k``.
 KHSQ computes the two distance maps with bounded BFS from each side; KHSQ⁺
 — the paper's §6.7 optimisation — swaps in the adaptive bi-directional
-search of §3.3. Each function answers one query over an adjacency dict;
-``bench_harness`` runs :func:`gkst` in Spark's Python workers.
+search of §3.3. Each function answers one query over a ``Graph`` (the
+backward side searches its ``rev``); ``bench_harness`` runs :func:`gkst`
+in Spark's Python workers.
 
 ``G^k_st ⊇ SPG_k``: it is the coarser (cycle-containing) search-space
 reduction that Tables 4–5 compare against. Its distance maps are also
@@ -16,11 +17,11 @@ from __future__ import annotations
 import math
 from typing import Dict, Set, Tuple
 
-from repro.graphs.model import Adj, Edge, bfs_dist, expand, reverse_adj
+from repro.graphs.model import Adj, Edge, Graph, bfs_dist, expand
 
 
 def distance_maps(
-    adj: Adj, s: int, t: int, k: int, *, adaptive: bool = False
+    adj: Graph, s: int, t: int, k: int, *, adaptive: bool = False
 ) -> Tuple[Dict[int, int], Dict[int, int]]:
     """``(Δ(s,·), Δ(·,t))`` up to depth ``k``; unreached vertices are absent.
 
@@ -31,10 +32,9 @@ def distance_maps(
     Either way every vertex with ``Δ(s,v) + Δ(v,t) ≤ k`` gets both exact
     distances; no distance is ever below the true one.
     """
-    radj = reverse_adj(adj)
     if not adaptive:
-        return bfs_dist(adj, (s,), k), bfs_dist(radj, (t,), k)
-    graphs, dists = (adj, radj), ({s: 0}, {t: 0})
+        return bfs_dist(adj, (s,), k), bfs_dist(adj.rev, (t,), k)
+    graphs, dists = (adj, adj.rev), ({s: 0}, {t: 0})
     frontiers, depths = [[s], [t]], [0, 0]
     while sum(depths) < k and (frontiers[0] or frontiers[1]):
         f, b = map(len, frontiers)
@@ -63,6 +63,6 @@ def gkst_edges(
     }
 
 
-def gkst(adj: Adj, s: int, t: int, k: int, *, adaptive: bool = False) -> Set[Edge]:
+def gkst(adj: Graph, s: int, t: int, k: int, *, adaptive: bool = False) -> Set[Edge]:
     """``G^k_st`` of one query: KHSQ, or KHSQ⁺ with ``adaptive=True``."""
     return gkst_edges(adj, *distance_maps(adj, s, t, k, adaptive=adaptive), k)

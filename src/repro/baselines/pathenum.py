@@ -25,17 +25,17 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.baselines.enumeration import Path, dfs_paths, join_paths
 from repro.baselines.khsq import distance_maps, gkst_edges
-from repro.graphs.model import Adj, build_adjacency
+from repro.graphs.model import Graph
 
 
 def build_index(
-    adj: Adj, s: int, t: int, k: int
-) -> Tuple[Adj, Dict[int, int], Dict[int, int]]:
+    adj: Graph, s: int, t: int, k: int
+) -> Tuple[Graph, Dict[int, int], Dict[int, int]]:
     """The lightweight online index: ``(candidates, dist_s, dist_t)``, the
     adjacency of the candidate edges and the bounded BFS maps that pick
     them."""
     dist_s, dist_t = distance_maps(adj, s, t, k)
-    cand, _ = build_adjacency(gkst_edges(adj, dist_s, dist_t, k))
+    cand = Graph(gkst_edges(adj, dist_s, dist_t, k))
     return cand, dist_s, dist_t
 
 
@@ -50,7 +50,7 @@ def choose_mode(avg_out_degree: float, k: int) -> str:
 
 
 def pathenum_paths(
-    adj: Adj, s: int, t: int, k: int, *, max_rows: Optional[int] = None
+    adj: Graph, s: int, t: int, k: int, *, max_rows: Optional[int] = None
 ) -> Optional[List[Path]]:
     """PathEnum: all simple s-t paths with ≤ k edges, or ``None`` over
     ``max_rows``.

@@ -25,7 +25,7 @@ from repro.baselines.pathenum import pathenum_paths
 from repro.core.eve import EveResult, eve_spg_batch
 from repro.graphs.datasets import dataset_edges_pdf
 from repro.graphs.generators import to_spark
-from repro.graphs.model import Edge, build_adjacency
+from repro.graphs.model import Edge, Graph
 from repro.graphs.queries import random_queries
 from repro.spark_util import map_queries, tune_runtime
 
@@ -71,16 +71,14 @@ def _per_query(
 ) -> List:
     """``kernel(adj, s, t)`` for each query of ``w``, in query order.
 
-    ``adj`` is the workload's graph, or with ``reduced`` the query's own
-    edge set (Table 4/5's "on G^k_st / on SPG_k"), which travels inside the
-    query's item instead of a broadcast.
+    ``adj`` is the workload's broadcast ``Graph``, or with ``reduced`` a
+    ``Graph`` of the query's own edge set (Table 4/5's "on G^k_st / on
+    SPG_k"), which travels inside the query's item instead of a broadcast.
     """
     if reduced is None:
         return map_queries(spark, w.queries, lambda adj, st: kernel(adj, *st), w.edges)
     items = [(s, t, es) for (s, t), es in zip(w.queries, reduced)]
-    return map_queries(
-        spark, items, lambda _, item: kernel(build_adjacency(item[2])[0], *item[:2])
-    )
+    return map_queries(spark, items, lambda _, item: kernel(Graph(item[2]), *item[:2]))
 
 
 def run_eve(

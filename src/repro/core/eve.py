@@ -8,13 +8,13 @@ propagation → Algorithm 2 labeling → Algorithm 3 verification — once per
 query, inside Spark's Python workers:
 
 the shared runner :func:`repro.spark_util.map_queries` broadcasts the
-adjacency of the ``(src, dst)`` edges (:func:`repro.graphs.model.adjacency`,
-each distinct edge once), maps each ``(s, t)`` pair to its
-``reference_eve`` answer on the broadcast graph and collects the answers in
-query order. The step uses the RDD API because its input and output are
-Python objects (query pairs, edge sets, phase times), not relations. A
-batch is two Spark jobs (the edge collect and the answer collect). The
-graph must fit in one Python worker; see DESIGN.md "Layering".
+:class:`repro.graphs.model.Graph` of the ``(src, dst)`` edges (each distinct
+edge once; its reverse is built once per task), maps each ``(s, t)`` pair
+to its ``reference_eve`` answer on the broadcast graph and collects the
+answers in query order. The step uses the RDD API because its input and
+output are Python objects (query pairs, edge sets, phase times), not
+relations. A batch is two Spark jobs (the edge collect and the answer
+collect). The graph must fit in one Python worker; see DESIGN.md "Layering".
 """
 from __future__ import annotations
 

@@ -1,6 +1,6 @@
 """EVE for one query in plain Python: the per-query pipeline.
 
-:func:`reference_eve` runs the four phases over an adjacency dict — bounded
+:func:`reference_eve` runs the four phases over a ``Graph`` — bounded
 BFS distances (:func:`repro.graphs.model.bfs_dist`), the closure form of
 Eq. (4) (:func:`ev_tables`), Algorithm 2 (:func:`label_edge`, on the edges
 from a forward EV row to a backward one, the only ones it can label ≥ 1) and
@@ -17,7 +17,7 @@ import time
 from typing import Dict, FrozenSet, List, Optional, Set
 
 from repro.core.verify import verify_query
-from repro.graphs.model import Adj, Edge, bfs_dist, reverse_adj
+from repro.graphs.model import Adj, Edge, Graph, bfs_dist
 
 #: The phases :func:`reference_eve` times, in the order they run.
 PHASES = ("distances", "propagation", "labeling", "verification")
@@ -79,7 +79,7 @@ def label_edge(
 
 
 def reference_eve(
-    adj: Adj,
+    adj: Graph,
     s: int,
     t: int,
     k: int,
@@ -96,12 +96,11 @@ def reference_eve(
     if k < 1:
         raise ValueError(f"hop constraint k must be >= 1, got {k}")
     marks = [time.perf_counter()]
-    radj = reverse_adj(adj)
     dist_s = bfs_dist(adj, (s,), k) if prune else None
-    dist_t = bfs_dist(radj, (t,), k) if prune else None
+    dist_t = bfs_dist(adj.rev, (t,), k) if prune else None
     marks.append(time.perf_counter())
     evf = ev_tables(adj, s, t, k, dist_prune=dist_t)
-    evb = ev_tables(radj, t, s, k, dist_prune=dist_s)
+    evb = ev_tables(adj.rev, t, s, k, dist_prune=dist_s)
     marks.append(time.perf_counter())
 
     # Every clause of Algorithm 2 needs u in a forward table and v in a

@@ -3,8 +3,9 @@
 Phase 3 of EVE. Its input is one query's *upper-bound graph* SPG^u, the
 label ≥ 1 edges of Algorithm 2; :func:`repro.core.reference.reference_eve`
 calls it once per query, inside a Python worker when the query comes through
-``eve_spg_batch``. SPG^u's out- and in-adjacency and the multi-source BFS of
-the §5.3 orders come from :mod:`repro.graphs.model`.
+``eve_spg_batch``. SPG^u is a :class:`repro.graphs.model.Graph`, its ``rev``
+the in-adjacency; the multi-source BFS of the §5.3 orders comes from there
+too.
 
 Components:
 
@@ -28,7 +29,23 @@ from __future__ import annotations
 import math
 from typing import List, Sequence, Set, Tuple
 
-from repro.graphs.model import Adj, Edge, bfs_dist, build_adjacency
+from repro.graphs.model import Adj, Edge, Graph, bfs_dist
+
+
+def _valid_neighbours(adj: Adj, root: int, other: int, k: int) -> Adj:
+    """v → the sorted x with e(root, x), e(x, v) in ``adj`` (x, v ∉ {root,
+    other}, v ≠ x), at most k-2 (Thm 5.8): ``In_D`` on SPG^u from s, and
+    ``Out_A`` on its reverse from t, as Definitions 5.1–5.4 are symmetric."""
+    found: Adj = {}
+    for x in adj.get(root, ()):
+        if x in (root, other):
+            continue
+        for v in adj.get(x, ()):
+            if v in (root, other, x):
+                continue
+            found.setdefault(v, []).append(x)
+    cap = max(0, k - 2)
+    return {v: sorted(set(xs))[:cap] for v, xs in found.items()}
 
 
 def departures_arrivals(
@@ -41,32 +58,29 @@ def departures_arrivals(
     """(In_D, Out_A) per Definitions 5.1–5.4 with the k-2 cap (Thm 5.8).
 
     The departures D are the keys of ``In_D`` and the arrivals A the keys of
-    ``Out_A``. ``out_adj``/``in_adj`` are SPG^u's adjacency
-    (:func:`repro.graphs.model.build_adjacency`).
+    ``Out_A``. ``out_adj``/``in_adj`` are SPG^u's adjacency, a
+    :class:`repro.graphs.model.Graph` and its ``rev``.
     """
-    in_d: Adj = {}
-    for x in out_adj.get(s, ()):  # e(s, x) in SPG^u
-        if x in (s, t):
-            continue
-        for v in out_adj.get(x, ()):  # e(x, v) in SPG^u
-            if v in (s, t, x):
-                continue
-            in_d.setdefault(v, []).append(x)
-    out_a: Adj = {}
-    for y in in_adj.get(t, ()):  # e(y, t) in SPG^u
-        if y in (s, t):
-            continue
-        for v in in_adj.get(y, ()):  # e(v, y) in SPG^u
-            if v in (s, t, y):
-                continue
-            out_a.setdefault(v, []).append(y)
-    cap = max(0, k - 2)
-    in_d = {v: sorted(set(xs))[:cap] for v, xs in in_d.items()}
-    out_a = {v: sorted(set(ys))[:cap] for v, ys in out_a.items()}
+    in_d = _valid_neighbours(out_adj, s, t, k)
+    out_a = _valid_neighbours(in_adj, t, s, k)
     es = {(u, v) for u, vs in out_adj.items() for v in vs}
     if not all((s, x) in es and (x, v) in es for v, xs in in_d.items() for x in xs):
         raise ValueError("In_D lists a vertex without its SPG^u edges")
     return in_d, out_a
+
+
+def _ordered(adj: Adj, radj: Adj, ends: Adj) -> Adj:
+    """``adj`` with each neighbour list sorted by the hop distance along
+    ``adj`` to the nearest of ``ends`` (a BFS over ``radj``), larger
+    ``|ends[n]|`` first among the ends themselves."""
+    dist = bfs_dist(radj, ends)
+
+    def key(n: int):
+        d = dist.get(n, math.inf)
+        tie = -len(ends.get(n, ())) if d == 0 else 0
+        return (d, tie, n)
+
+    return {v: sorted(ns, key=key) for v, ns in adj.items()}
 
 
 def search_orders(
@@ -78,23 +92,7 @@ def search_orders(
     """§5.3 neighbor orderings; returns (ordered out_adj, ordered in_adj)."""
     # Distance from v to the closest arrival following out-edges = BFS over
     # the reversed SPG^u from the arrival set; symmetric for departures.
-    dist_to_arr = bfs_dist(in_adj, out_a)
-    dist_from_dep = bfs_dist(out_adj, in_d)
-    inf = math.inf
-
-    def okey(n: int):
-        d = dist_to_arr.get(n, inf)
-        tie = -len(out_a.get(n, ())) if d == 0 else 0
-        return (d, tie, n)
-
-    def ikey(n: int):
-        d = dist_from_dep.get(n, inf)
-        tie = -len(in_d.get(n, ())) if d == 0 else 0
-        return (d, tie, n)
-
-    out_sorted = {v: sorted(ns, key=okey) for v, ns in out_adj.items()}
-    in_sorted = {v: sorted(ns, key=ikey) for v, ns in in_adj.items()}
-    return out_sorted, in_sorted
+    return _ordered(out_adj, in_adj, out_a), _ordered(in_adj, out_adj, in_d)
 
 
 def verify_kernel(
@@ -187,7 +185,8 @@ def verify_query(
     """
     if k < 5 or not undetermined:
         return set()
-    out_adj, in_adj = build_adjacency(spgu_edges)
+    spgu = Graph(spgu_edges)
+    out_adj, in_adj = spgu, spgu.rev
     in_d, out_a = departures_arrivals(out_adj, in_adj, s, t, k)
     if order:
         out_adj, in_adj = search_orders(out_adj, in_adj, in_d, out_a)

@@ -1,22 +1,23 @@
-"""The graph as every kernel holds it: adjacency dicts and the one BFS.
+"""The graph as every kernel holds it: :class:`Graph` and the one BFS.
 
 A directed graph arrives as a Spark DataFrame with columns ``src: long`` and
 ``dst: long``. The paper's ``E`` is a set (Definition 2.1), so a duplicated
-row is one edge: :func:`adjacency` lists each distinct edge once, in the
-order its first row comes. Self-loops are permitted in the input and are
+row is one edge: :class:`Graph` lists each distinct edge once, in the order
+its first row comes. Self-loops are permitted in the input and are
 provably never part of any simple path graph, so the algorithms label them
 failing automatically.
 
 This module is the only one that knows the in-memory format. EVE, the
-baselines and the pure-Python oracles read the graph as the out-adjacency
-dict :func:`adjacency` builds from the collected edge list, search it
-backwards through :func:`reverse_adj`, and take every hop distance from
-:func:`bfs_dist` (or, for a search that picks its side each level, from
-:func:`expand`, the level step it is built on).
+baselines and the pure-Python oracles read the graph as a :class:`Graph`
+(:func:`adjacency` builds it from the collected edge list), search it
+backwards through its cached reverse ``Graph.rev``, and take every hop
+distance from :func:`bfs_dist` (or, for a search that picks its side each
+level, from :func:`expand`, the level step it is built on).
 """
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import pandas as pd
@@ -29,34 +30,35 @@ Edge = Tuple[int, int]
 Adj = Dict[int, List[int]]
 
 
-def adjacency(edges_pdf: pd.DataFrame) -> Adj:
-    """Out-adjacency dict of a pandas edge list (driver-side helper): each
-    distinct edge once, in the order of its first row."""
+class Graph(dict):
+    """Vertex → its out-neighbours, each distinct edge of ``edges`` once, in
+    the order of its first occurrence.
+
+    ``rev`` is the reverse graph, built on first use and kept, so the
+    queries that share one graph (one broadcast value in a Python worker)
+    build it once. A fresh ``Graph`` pickles as its dict alone. Do not add
+    edges to a ``Graph`` whose ``rev`` has been read.
+    """
+
+    def __init__(self, edges: Iterable[Edge]) -> None:
+        super().__init__()
+        for u, v in dict.fromkeys(edges):
+            self.setdefault(u, []).append(v)
+
+    @cached_property
+    def rev(self) -> Graph:
+        """Vertex → its in-neighbours (built without a dedup pass)."""
+        r = Graph(())
+        for u, vs in self.items():
+            for v in vs:
+                r.setdefault(v, []).append(u)
+        return r
+
+
+def adjacency(edges_pdf: pd.DataFrame) -> Graph:
+    """The :class:`Graph` of a pandas edge list (driver-side helper)."""
     src, dst = (edges_pdf[c].to_numpy("int64").tolist() for c in ("src", "dst"))
-    adj: Adj = {}
-    for u, v in dict.fromkeys(zip(src, dst)):
-        adj.setdefault(u, []).append(v)
-    return adj
-
-
-def build_adjacency(edge_set: Iterable[Edge]) -> Tuple[Adj, Adj]:
-    """Out- and in-adjacency of a set of edges (a query's own graph, such
-    as its upper-bound graph SPG^u)."""
-    out_adj: Adj = {}
-    in_adj: Adj = {}
-    for u, v in edge_set:
-        out_adj.setdefault(u, []).append(v)
-        in_adj.setdefault(v, []).append(u)
-    return out_adj, in_adj
-
-
-def reverse_adj(adj: Adj) -> Adj:
-    """Reversed adjacency."""
-    r: Adj = {}
-    for u, vs in adj.items():
-        for v in vs:
-            r.setdefault(v, []).append(u)
-    return r
+    return Graph(zip(src, dst))
 
 
 def expand(

@@ -2,9 +2,9 @@
 
 Every contender (EVE and the baselines of §6) answers one query on one
 machine, so Spark parallelises over queries. :func:`map_queries` broadcasts
-the graph's adjacency, runs a per-query Python kernel over the query items
-in Spark's Python workers and collects the answers in query order: two
-Spark jobs per call, whatever the number of queries.
+the :class:`repro.graphs.model.Graph`, runs a per-query Python kernel over
+the query items in Spark's Python workers and collects the answers in query
+order: two Spark jobs per call, whatever the number of queries.
 
 :class:`DFPin` (lazy ``localCheckpoint`` of an iterative DataFrame) has no
 caller in the program; the benchmark's per-layer tracer subclasses it.
@@ -18,7 +18,7 @@ from typing import Any, Callable, List, Optional, Sequence
 
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.graphs.model import adjacency
+from repro.graphs.model import Graph, adjacency
 
 
 def ensure_session_env() -> None:
@@ -57,11 +57,11 @@ def ensure_session_env() -> None:
 
 
 def tune_runtime(spark: SparkSession, n_partitions: int = 4) -> None:
-    """Post-launch tuning for per-query graph dataflow.
+    """Post-launch tuning for the project's small DataFrames.
 
-    The per-query subgraphs are tiny next to the session's OLAP defaults:
-    use few shuffle partitions and skip AQE's per-shuffle re-optimisation
-    (it buys nothing at this scale and costs latency on every exchange).
+    No query step shuffles; any other shuffle is tiny next to the session's
+    OLAP defaults: use few shuffle partitions and skip AQE's per-shuffle
+    re-optimisation (it buys nothing at this scale and costs latency).
     """
     spark.conf.set("spark.sql.shuffle.partitions", str(n_partitions))
     spark.conf.set("spark.sql.adaptive.enabled", "false")
@@ -70,14 +70,15 @@ def tune_runtime(spark: SparkSession, n_partitions: int = 4) -> None:
 def map_queries(
     spark: SparkSession,
     items: Sequence,
-    kernel: Callable[[Optional[dict], Any], Any],
+    kernel: Callable[[Optional[Graph], Any], Any],
     edges: Optional[DataFrame] = None,
 ) -> List:
     """``kernel(adj, item)`` for every item, run in Spark's Python workers;
     the answers come back in the items' order.
 
-    ``adj`` is the out-adjacency dict of ``edges`` (``src`` and ``dst``
-    columns), collected once per call and broadcast to the workers; without
+    ``adj`` is the ``Graph`` of ``edges`` (``src`` and ``dst`` columns),
+    collected once per call and broadcast without its reverse; the items of
+    one task share it, so ``adj.rev`` is built once per task. Without
     ``edges`` nothing is broadcast and ``adj`` is ``None`` (each item then
     carries its own graph). The items are spread over
     ``min(len(items), defaultParallelism)`` partitions, and the call is two

@@ -11,7 +11,7 @@ from repro.baselines.enumeration import dfs_paths, join_paths
 from repro.baselines.khsq import gkst
 from repro.baselines.pathenum import build_index, choose_mode, pathenum_paths
 from repro.graphs.generators import random_digraph
-from repro.graphs.model import adjacency, bfs_dist, reverse_adj
+from repro.graphs.model import Graph, adjacency, bfs_dist
 from repro.graphs.queries import random_queries
 
 K = 5
@@ -20,12 +20,12 @@ N_QUERIES = 6
 def bsetup():
     pdf = random_digraph("er", 90, 3.5, seed=77)
     adj = adjacency(pdf)
-    return pdf, adj, reverse_adj(adj), random_queries(pdf, K, N_QUERIES, seed=5)
+    return pdf, adj, adj.rev, random_queries(pdf, K, N_QUERIES, seed=5)
 
 
 def _pruned(adj, s, t, k, **kw):
     """PathEnum's DFS mode on the whole graph, indexed by plain BFS to t."""
-    return dfs_paths(adj, s, t, k, dist_t=bfs_dist(reverse_adj(adj), (t,), k), **kw)
+    return dfs_paths(adj, s, t, k, dist_t=bfs_dist(adj.rev, (t,), k), **kw)
 
 
 def _pathenum_join(adj, s, t, k, **kw):
@@ -133,7 +133,5 @@ def test_per_query_reduced_graph_enumeration(bsetup):
     graph (the Table-4 'PathEnum on SPG_k' path)."""
     pdf, adj, _, qs = bsetup
     for s, t in qs:
-        spg = {}
-        for u, v in sorted(bf.spg_edges(adj, s, t, K)):
-            spg.setdefault(u, []).append(v)
+        spg = Graph(sorted(bf.spg_edges(adj, s, t, K)))
         assert set(pathenum_paths(spg, s, t, K)) == set(bf.simple_paths(adj, s, t, K))

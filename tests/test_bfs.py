@@ -6,7 +6,7 @@ import pytest
 from repro import oracle
 from repro.baselines.khsq import distance_maps
 from repro.graphs.generators import grid, random_digraph
-from repro.graphs.model import adjacency, bfs_dist, reverse_adj
+from repro.graphs.model import adjacency, bfs_dist
 from repro.graphs.queries import random_queries
 
 K = 6
@@ -44,7 +44,7 @@ def test_distance_maps_exact_on_k_ball(gsetup, adaptive):
     Neither reports a distance below the true one anywhere; on this graph
     the forward map is exact everywhere."""
     pdf, adj, qs = gsetup
-    radj = reverse_adj(adj)
+    radj = adj.rev
     for s, t in qs:
         got_s, got_t = distance_maps(adj, s, t, K, adaptive=adaptive)
         ref_s = bfs_dist(adj, (s,), K)

@@ -3,7 +3,7 @@ import pytest
 
 from repro.baselines import bruteforce as bf
 from repro.graphs.generators import chain, grid
-from repro.graphs.model import adjacency, reverse_adj
+from repro.graphs.model import adjacency
 
 
 def test_chain_paths():
@@ -60,8 +60,3 @@ def test_spg_empty_when_unreachable():
     adj = adjacency(chain(4))
     assert bf.spg_edges(adj, 3, 0, 8) == set()
     assert bf.simple_paths(adj, 3, 0, 8) == []
-
-
-def test_reverse_adj():
-    adj = {0: [1, 2], 1: [2]}
-    assert reverse_adj(adj) == {1: [0], 2: [0, 1]}

@@ -1,13 +1,21 @@
 """The table drivers in ``jobs/`` and the benchmark in ``perfbench/`` import
 only what the program still has and call it with arguments its signatures
-accept, and the program's own imports run one way; starts no Spark job."""
+accept, the program's own imports run one way, and the benchmark's
+correctness gate holds on the graph the program hands it; starts no Spark
+job."""
 import ast
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
+from unittest import mock
 
 import repro.core.eve as eve
+from repro.baselines import bruteforce as bf
+from repro.core.reference import reference_eve
+from repro.graphs.generators import FIG1_IDS, figure1_graph
+from repro.graphs.model import adjacency
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
@@ -16,6 +24,16 @@ ENTRY_POINTS = [
     ROOT / "perfbench" / "run.py",
     ROOT / "perfbench" / "layers.py",
 ]
+
+
+def _load(path: Path):
+    """The script at ``path`` as a module, without running its ``main``
+    (registered while it runs, as ``dataclass`` needs)."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(sys.modules, {spec.name: module}):
+        spec.loader.exec_module(module)
+    return module
 
 
 def _repro_imports(path: Path):
@@ -46,11 +64,7 @@ def test_entry_points_import_existing_names():
 
     # perfbench/layers.py swaps these attributes of repro.core.eve while it
     # traces a batch, and perfbench/run.py passes time_phases when tracing.
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_layers", ROOT / "perfbench" / "layers.py"
-    )
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
+    layers = _load(ROOT / "perfbench" / "layers.py")
     for attr in (*layers.LAYERS.values(), "DFPin"):
         assert hasattr(eve, attr), attr
     assert "time_phases" in inspect.signature(eve.eve_spg_batch).parameters
@@ -95,6 +109,19 @@ def test_jobs_calls_bind_to_current_signatures():
         "adjacency", "make_session", "make_workload", "random_queries", "reference_eve"
     }
     assert not bad
+
+
+def test_benchmark_correctness_gate():
+    """The benchmark's only correctness check, run as ``perfbench/run.py``
+    runs it on the graph :func:`adjacency` returns: both of its references
+    give Definition 2.1's SPG on the Figure-1 graph."""
+    run = _load(ROOT / "perfbench" / "run.py")
+    adj, s, t = adjacency(figure1_graph()), FIG1_IDS["s"], FIG1_IDS["t"]
+    for k in range(4, 8):
+        want = bf.spg_edges(adj, s, t, k)
+        assert want, k
+        assert run.spg_by_enumeration(adj, s, t, k) == want, k
+        assert reference_eve(adj, s, t, k)[0] == want, k
 
 
 def test_program_imports_run_one_way():

@@ -5,7 +5,7 @@ import pytest
 from repro.baselines import bruteforce as bf
 from repro.core.reference import ev_tables
 from repro.graphs.generators import random_digraph
-from repro.graphs.model import adjacency, bfs_dist, reverse_adj
+from repro.graphs.model import adjacency, bfs_dist
 from repro.graphs.queries import random_queries
 
 K = 5
@@ -28,7 +28,7 @@ def setup():
 def evs(setup):
     """Unpruned forward and backward tables per query."""
     adj, qs = setup
-    radj = reverse_adj(adj)
+    radj = adj.rev
     evf = [_flat(ev_tables(adj, s, t, K)) for s, t in qs]
     evb = [_flat(ev_tables(radj, t, s, K)) for s, t in qs]
     return evf, evb
@@ -57,13 +57,13 @@ def test_backward_matches_definition(setup, evs, qid):
     adj, qs = setup
     s, t = qs[qid]
     got = {key: ev for key, ev in evs[1][qid].items() if key[1] >= 1}
-    assert got == _definition(bf.essential_sets(reverse_adj(adj), t, s, K))
+    assert got == _definition(bf.essential_sets(adj.rev, t, s, K))
 
 
 def test_pruned_entries_subset_with_equal_values(setup, evs):
     """Forward-looking pruning drops entries, never changes kept values."""
     adj, qs = setup
-    radj = reverse_adj(adj)
+    radj = adj.rev
     for qid, (s, t) in enumerate(qs):
         full = evs[0][qid]
         dt = bfs_dist(radj, (t,), K)

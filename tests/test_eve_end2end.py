@@ -18,7 +18,7 @@ from repro.baselines.pathenum import pathenum_paths
 from repro.core.eve import eve_spg_batch
 from repro.core.reference import PHASES, reference_eve
 from repro.graphs.generators import FIG1_IDS, random_digraph, to_spark
-from repro.graphs.model import adjacency, bfs_dist, reverse_adj
+from repro.graphs.model import adjacency, bfs_dist
 from repro.graphs.queries import random_queries
 
 from tests.conftest import COMBO_IDS, EVE_COMBOS
@@ -286,7 +286,7 @@ def test_duplicate_rows_are_one_edge(spark, plumbing_graph, plumbing_truth):
     k = 5
     qs, _ = plumbing_truth(k)
     adj = adjacency(pdf)
-    radj = reverse_adj(adj)
+    radj = adj.rev
     want = [bf.simple_paths(adj, s, t, k) for s, t in qs]
     for (s, t), paths in zip(qs, want):
         assert len(set(paths)) == len(paths), (s, t)

@@ -7,7 +7,7 @@ from repro.baselines import bruteforce as bf
 from repro.core import reference
 from repro.core.reference import label_edge, reference_eve
 from repro.graphs.generators import FIG1_IDS, random_digraph
-from repro.graphs.model import adjacency, reverse_adj
+from repro.graphs.model import adjacency
 from repro.graphs.queries import random_queries
 
 K = 6
@@ -46,7 +46,7 @@ def test_labels_match_reference(labeled, qid, prune):
     s, t = qs[qid]
     labels = _labels(adj, s, t, K, prune)
     evf = _definition_layers(adj, s, t, K)
-    evb = _definition_layers(reverse_adj(adj), t, s, K)
+    evb = _definition_layers(adj.rev, t, s, K)
     for u, vs in adj.items():
         for v in vs:
             assert labels.get((u, v), 0) == label_edge(u, v, evf, evb, s, t, K)
@@ -55,12 +55,14 @@ def test_labels_match_reference(labeled, qid, prune):
 def test_labeling_skips_edges_outside_the_ev_tables(fig1, monkeypatch):
     """Only edges from a forward EV row to a backward one are labeled, so a
     component that s cannot reach costs no ``label_edge`` call."""
-    far = {100: [101, 102], 101: [102], 102: [100]}
+    far = pd.DataFrame([(100, 101), (100, 102), (101, 102), (102, 100)],
+                       columns=["src", "dst"])
     tails = []
     monkeypatch.setattr(reference, "label_edge",
                         lambda u, *rest: tails.append(u) or label_edge(u, *rest))
-    reference_eve({**fig1.adj, **far}, FIG1_IDS["s"], FIG1_IDS["t"], 7)
-    assert tails and far.keys().isdisjoint(tails)
+    g = adjacency(pd.concat([fig1.pdf, far]))
+    reference_eve(g, FIG1_IDS["s"], FIG1_IDS["t"], 7)
+    assert tails and set(far["src"]).isdisjoint(tails)
 
 
 @pytest.mark.parametrize("qid", range(N_QUERIES))

@@ -1,36 +1,66 @@
-"""Edge-DataFrame graph model and the adjacency dicts the algorithms read."""
+"""Edge-DataFrame graph model and the one graph type the algorithms read."""
+import pickle
+
 import pandas as pd
-import pytest
 
+from repro.baselines.enumeration import join_paths
+from repro.baselines.khsq import gkst
+from repro.core.reference import reference_eve
 from repro.graphs import model as M
-from repro.graphs.generators import to_spark
+from repro.graphs.generators import random_digraph, to_spark
+from repro.graphs.queries import random_queries
 
 
-@pytest.fixture(scope="module")
-def small():
-    return pd.DataFrame({"src": [0, 1, 2, 2], "dst": [1, 2, 0, 2]})
+def _edges(adj):
+    return [(u, v) for u, vs in adj.items() for v in vs]
 
 
-def test_reverse_edges(small):
-    """The reversed graph the baselines search backwards: every edge
-    ``(u,v)`` becomes ``(v,u)``, self-loops included."""
-    rev = M.reverse_adj(M.adjacency(small))
-    assert {(u, v) for u, vs in rev.items() for v in vs} == {
-        (v, u) for u, v in zip(small["src"], small["dst"])
-    }
+def test_graph_keeps_each_edge_once():
+    """A duplicated edge is one edge, self-loops stay, edges keep the order
+    of their first occurrence; ``rev`` lists each edge once, reversed."""
+    g = M.Graph([(0, 2), (0, 1), (2, 2), (0, 2), (1, 2), (2, 2)])
+    assert g == {0: [2, 1], 2: [2], 1: [2]}
+    assert sorted(_edges(g.rev)) == sorted({(v, u) for u, v in _edges(g)})
+    assert len(_edges(g.rev)) == len(_edges(g))
+    assert g.rev is g.rev
 
 
 def test_adjacency_helpers():
     """A duplicated row is one edge; edges keep the order of their first row."""
     pdf = pd.DataFrame({"src": [0, 0, 1, 0], "dst": [2, 1, 2, 2]})
-    assert M.adjacency(pdf) == {0: [2, 1], 1: [2]}
-    assert M.build_adjacency([(0, 2), (0, 1), (1, 2)]) == (
-        {0: [2, 1], 1: [2]}, {2: [0, 1], 1: [0]}
-    )
+    g = M.adjacency(pdf)
+    assert isinstance(g, M.Graph)
+    assert g == {0: [2, 1], 1: [2]}
+    assert g.rev == {2: [0, 1], 1: [0]}
+
+
+def test_fresh_graph_pickles_without_its_reverse():
+    """A broadcast carries the dict alone; the reverse is built after."""
+    g = M.adjacency(random_digraph("er", 60, 3, seed=4))
+    size = len(pickle.dumps(g, pickle.HIGHEST_PROTOCOL))
+    assert abs(size - len(pickle.dumps(dict(g), pickle.HIGHEST_PROTOCOL))) <= 64
+    back = pickle.loads(pickle.dumps(g, pickle.HIGHEST_PROTOCOL))
+    assert type(back) is M.Graph and back == g and back.rev == g.rev
+
+
+def test_kernels_share_one_reverse(monkeypatch):
+    """EVE, KHSQ and JOIN on several queries of one graph build its reverse
+    once."""
+    pdf = random_digraph("er", 80, 3.5, seed=8)
+    g = M.adjacency(pdf)
+    rev = M.Graph.__dict__["rev"]  # the cached_property; count its builds
+    build, built = rev.func, []
+    monkeypatch.setattr(rev, "func", lambda graph: built.append(graph) or build(graph))
+    for s, t in random_queries(pdf, 6, 3, seed=2):
+        reference_eve(g, s, t, 6)
+        gkst(g, s, t, 6)
+        gkst(g, s, t, 6, adaptive=True)
+        join_paths(g, s, t, 6)
+    assert sum(b == g for b in built) == 1  # a copy of g counts too
 
 
 def test_empty_edges(spark):
     pdf = pd.DataFrame({c: pd.Series(dtype="int64") for c in ("src", "dst")})
     assert M.adjacency(pdf) == {}
-    assert M.reverse_adj({}) == {}
+    assert M.adjacency(pdf).rev == {}
     assert to_spark(spark, pdf).count() == 0

@@ -4,7 +4,7 @@ import pytest
 from repro import oracle
 from repro.baselines import bruteforce as bf
 from repro.graphs.generators import figure1_graph, grid, random_digraph, FIG1_IDS
-from repro.graphs.model import adjacency, bfs_dist, reverse_adj
+from repro.graphs.model import adjacency, bfs_dist
 
 
 @pytest.mark.parametrize("k", [2, 4, 6])
@@ -27,7 +27,7 @@ def test_paths_sql_matches_bruteforce():
 @pytest.mark.parametrize("reversed_", [False, True])
 def test_distances_sql_matches_bruteforce(reversed_):
     pdf = random_digraph("er", 40, 3, seed=6)
-    adj = adjacency(pdf) if not reversed_ else reverse_adj(adjacency(pdf))
+    adj = adjacency(pdf) if not reversed_ else adjacency(pdf).rev
     src = int(pdf["src"].iloc[0])
     rows = oracle.query(oracle.distances_sql(src, 5, reversed_), pdf)
     assert {int(r[0]): int(r[1]) for r in rows} == bfs_dist(adj, (src,), 5)

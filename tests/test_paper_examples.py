@@ -12,7 +12,7 @@ from repro.baselines import bruteforce as bf
 from repro.core.reference import ev_tables
 from repro.core.verify import departures_arrivals
 from repro.graphs.generators import FIG1_IDS as V
-from repro.graphs.model import bfs_dist, build_adjacency, reverse_adj
+from repro.graphs.model import Graph, bfs_dist
 
 S, T = "s", "t"
 
@@ -56,13 +56,13 @@ K = 7
 
 @pytest.fixture(scope="module")
 def fig1_ev_unpruned(fig1):
-    radj = reverse_adj(fig1.adj)
+    radj = fig1.adj.rev
     return ev_tables(fig1.adj, V[S], V[T], K), ev_tables(radj, V[T], V[S], K)
 
 
 @pytest.fixture(scope="module")
 def fig1_ev_pruned(fig1):
-    radj = reverse_adj(fig1.adj)
+    radj = fig1.adj.rev
     ds, dt = bfs_dist(fig1.adj, (V[S],), K), bfs_dist(radj, (V[T],), K)
     return (
         ev_tables(fig1.adj, V[S], V[T], K, dist_prune=dt),
@@ -137,7 +137,7 @@ def test_example_2_2_spg4(fig1, fig1_eve):
 def test_lemma_3_3_counterexample(fig1, fig1_eve):
     """Lemma 3.3: e(b,a) has disjoint EV pairs at k=7 yet is not in SPG_7."""
     ev_f = bf.essential_sets(fig1.adj, V[S], V[T], 7)
-    ev_b = bf.essential_sets(reverse_adj(fig1.adj), V[T], V[S], 7)
+    ev_b = bf.essential_sets(fig1.adj.rev, V[T], V[S], 7)
     assert ev_f[V["b"]][3] == _ev("s,b")
     assert ev_b[V["a"]][2] == _ev("a,c,t")
     assert not (ev_f[V["b"]][3] & ev_b[V["a"]][2])
@@ -171,8 +171,8 @@ def test_example_5_5_departures_arrivals(fig1_eve):
     """Example 5.5: c is both a departure (In_D={a}) and an arrival
     (Out_A={b}); Example 5.7: i ∈ D with In_D(i)={a}, h ∈ A with Out_A(h)={b}."""
     res = fig1_eve[7]
-    spgu = build_adjacency(sorted(res.upper))
-    in_d, out_a = departures_arrivals(*spgu, V[S], V[T], 7)
+    spgu = Graph(sorted(res.upper))
+    in_d, out_a = departures_arrivals(spgu, spgu.rev, V[S], V[T], 7)
     assert in_d[V["c"]] == [V["a"]]
     assert out_a[V["c"]] == [V["b"]]
     assert in_d[V["i"]] == [V["a"]]

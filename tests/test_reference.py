@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from repro.baselines import bruteforce as bf
 from repro.core.reference import ev_tables, reference_eve
 from repro.graphs.generators import random_digraph
-from repro.graphs.model import adjacency, bfs_dist, reverse_adj
+from repro.graphs.model import Graph, adjacency, bfs_dist
 
 
 @st.composite
@@ -21,9 +21,7 @@ def digraph_query(draw):
     rng = np.random.default_rng(draw(st.integers(0, 10_000)))
     pairs = {(int(a), int(b)) for a, b in zip(rng.integers(0, n, m),
                                               rng.integers(0, n, m)) if a != b}
-    adj = {}
-    for u, v in sorted(pairs):
-        adj.setdefault(u, []).append(v)
+    adj = Graph(sorted(pairs))
     s = draw(st.integers(0, n - 1))
     t = draw(st.integers(0, n - 1))
     if s == t:
@@ -96,7 +94,7 @@ def test_ev_sets_shrink_with_layer(case):
 def test_pruned_ev_entries_are_exact_subset(case):
     """Pruning drops entries but never alters kept values (§3.3 argument)."""
     adj, s, t, k = case
-    radj = reverse_adj(adj)
+    radj = adj.rev
     dist_t = bfs_dist(radj, (t,), k)
     full = ev_tables(adj, s, t, k)
     pruned = ev_tables(adj, s, t, k, dist_prune=dist_t)

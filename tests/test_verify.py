@@ -12,7 +12,7 @@ from repro.core.verify import (
     verify_query,
 )
 from repro.graphs.generators import random_digraph
-from repro.graphs.model import adjacency, build_adjacency
+from repro.graphs.model import Graph, adjacency
 
 
 def _upper_parts(adj, s, t, k):
@@ -40,7 +40,8 @@ def test_departures_match_definition(seed):
     adj, s, t, k = _random_case(seed)
     spg, upper, undet, definite = _upper_parts(adj, s, t, k)
     es = set(map(tuple, upper))
-    in_d, out_a = departures_arrivals(*build_adjacency(upper), s, t, k)
+    spgu = Graph(upper)
+    in_d, out_a = departures_arrivals(spgu, spgu.rev, s, t, k)
     expect_D = {
         v
         for (x, v) in es
@@ -69,7 +70,8 @@ def test_kernel_confirms_exactly_truth(seed):
     adj, s, t, k = _random_case(seed)
     truth = bf.spg_edges(adj, s, t, k)
     spg, upper, undet, definite = _upper_parts(adj, s, t, k)
-    out_adj, in_adj = build_adjacency(upper)
+    out_adj = Graph(upper)
+    in_adj = out_adj.rev
     in_d, out_a = departures_arrivals(out_adj, in_adj, s, t, k)
     found = verify_kernel(out_adj, in_adj, undet, in_d, out_a, k, s, t)
     assert (found & set(undet)) == (set(undet) & truth)
@@ -80,7 +82,8 @@ def test_ordering_is_pure_optimisation(seed):
     adj, s, t, k = _random_case(seed, k=7)
     truth = bf.spg_edges(adj, s, t, k)
     spg, upper, undet, definite = _upper_parts(adj, s, t, k)
-    out_adj, in_adj = build_adjacency(upper)
+    out_adj = Graph(upper)
+    in_adj = out_adj.rev
     in_d, out_a = departures_arrivals(out_adj, in_adj, s, t, k)
     plain = verify_kernel(out_adj, in_adj, undet, in_d, out_a, k, s, t)
     o_out, o_in = search_orders(out_adj, in_adj, in_d, out_a)
@@ -105,7 +108,8 @@ def test_kernel_k5_needs_no_expansion():
     # s=0 → 1 → 2 → 3 → 4 → t=5 plus shortcut making (2,3) undetermined.
     # Construct a synthetic upper graph where (2,3) connects D and A.
     upper = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
-    out_adj, in_adj = build_adjacency(upper)
+    out_adj = Graph(upper)
+    in_adj = out_adj.rev
     in_d, out_a = departures_arrivals(out_adj, in_adj, 0, 5, 5)
     assert set(in_d) == {2} and set(out_a) == {3}
     found = verify_kernel(out_adj, in_adj, [(2, 3)], in_d, out_a, 5, 0, 5)
@@ -118,7 +122,8 @@ def test_kernel_rejects_when_neighbors_collide():
     # departure and the only valid out-neighbor of the arrival are the SAME
     # vertex (1): TryAddEdges must reject (no distinct x ≠ y).
     upper = [(0, 1), (1, 2), (2, 3), (3, 1)]
-    out_adj, in_adj = build_adjacency(upper)
+    out_adj = Graph(upper)
+    in_adj = out_adj.rev
     found = verify_kernel(out_adj, in_adj, [(2, 3)], {2: [1]}, {3: [1]}, 5, 0, 9)
     assert not found
     # With distinct neighbors it passes.
