@@ -60,7 +60,8 @@ def make_workload(
 
 # ---------------------------------------------------------------------------
 # Timed runners. Each answers every query of the workload through
-# ``map_queries`` (two Spark jobs) and returns (answers, seconds).
+# ``map_queries`` (two Spark jobs; one for a single query, which runs on the
+# driver to skip a Python-worker job's ~0.1 s) and returns (answers, seconds).
 # ---------------------------------------------------------------------------
 
 def _per_query(

@@ -13,13 +13,14 @@ edge once; its reverse is built once per task), maps each ``(s, t)`` pair
 to its ``reference_eve`` answer on the broadcast graph and collects the
 answers in query order. The step uses the RDD API because its input and
 output are Python objects (query pairs, edge sets, phase times), not
-relations. A batch is two Spark jobs (the edge collect and the answer
-collect). The graph must fit in one Python worker; see DESIGN.md "Layering".
+relations. A batch is two Spark jobs, the edge collect and the answer collect;
+a one-query batch runs on the driver, skipping the answer job (about 0.1 s).
+The graph must fit in one Python worker; see DESIGN.md "Layering".
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from pyspark.sql import DataFrame, SparkSession
 
@@ -29,8 +30,8 @@ from repro.core.verify import verify_query
 from repro.graphs.model import Edge, bfs_dist
 
 # perfbench/layers.py swaps these five names for tracing wrappers while it
-# traces a batch. The phases run inside Python workers, which the wrappers do
-# not reach, so its per-phase counts read 0. Each name is bound to the
+# traces a batch. ``reference_eve`` never calls these names (in a worker or on
+# the driver), so its per-phase counts read 0. Each name is bound to the
 # function that now does its phase. The benchmark change of ROADMAP item 1
 # reads the trace from ``EveResult`` instead and removes this block.
 batch_distance_maps = bfs_dist
@@ -47,17 +48,17 @@ class EveResult:
     s: int
     t: int
     k: int
-    #: exact E(SPG_k(s,t))
-    spg: Set[Edge]
+    #: exact E(SPG_k(s,t)); ``definite`` itself when the two are equal (k ≤ 4)
+    spg: FrozenSet[Edge]
     #: definite (label 2) and undetermined (label 1) edges
-    definite: Set[Edge]
-    undetermined: Set[Edge]
+    definite: FrozenSet[Edge]
+    undetermined: FrozenSet[Edge]
     #: wall-clock seconds of this query's phases, one key per phase in
     #: :data:`repro.core.reference.PHASES`
     timings: Dict[str, float] = field(default_factory=dict)
 
     @property
-    def upper(self) -> Set[Edge]:
+    def upper(self) -> FrozenSet[Edge]:
         """E(SPG^u_k(s,t)) — upper bound (== spg for k ≤ 4)."""
         return self.definite | self.undetermined
 
@@ -112,6 +113,9 @@ def eve_spg_batch(
     results = []
     for s, t in pairs:
         *edge_sets, timings = answers.pop()
-        interned = ({canon.setdefault(e, e) for e in es} for es in edge_sets)
-        results.append(EveResult(s, t, k, *interned, timings=timings))
+        spg, definite, undetermined = (
+            frozenset([canon.setdefault(e, e) for e in es]) for es in edge_sets
+        )
+        spg = definite if len(spg) == len(definite) else spg  # definite ⊆ spg
+        results.append(EveResult(s, t, k, spg, definite, undetermined, timings))
     return results

@@ -4,7 +4,8 @@ Every contender (EVE and the baselines of §6) answers one query on one
 machine, so Spark parallelises over queries. :func:`map_queries` broadcasts
 the :class:`repro.graphs.model.Graph`, runs a per-query Python kernel over
 the query items in Spark's Python workers and collects the answers in query
-order: two Spark jobs per call, whatever the number of queries.
+order: two Spark jobs per call. A one-item call runs its kernel on the driver
+after the edge collect, as a Python-worker job costs about 0.1 s whatever it does.
 
 :class:`DFPin` (lazy ``localCheckpoint`` of an iterative DataFrame) has no
 caller in the program; the benchmark's per-layer tracer subclasses it.
@@ -82,12 +83,16 @@ def map_queries(
     ``edges`` nothing is broadcast and ``adj`` is ``None`` (each item then
     carries its own graph). The items are spread over
     ``min(len(items), defaultParallelism)`` partitions, and the call is two
-    Spark jobs: the edge collect and the answer collect.
+    Spark jobs: the edge collect and the answer collect. An empty call starts
+    none; one item runs on the driver, skipping the answer job's ~0.1 s cost.
     """
+    if not items:
+        return []
     sc = spark.sparkContext
-    graph = None
-    if edges is not None:
-        graph = sc.broadcast(adjacency(edges.select("src", "dst").toPandas()))
+    adj = None if edges is None else adjacency(edges.select("src", "dst").toPandas())
+    if len(items) < 2:
+        return [kernel(adj, item) for item in items]
+    graph = None if adj is None else sc.broadcast(adj)
     try:
         return (
             sc.parallelize(items, max(1, min(len(items), sc.defaultParallelism)))

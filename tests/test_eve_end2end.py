@@ -172,9 +172,27 @@ def _workload(pdf, edges, qs, k):
     return H.Workload(name="test", k=k, edges_pdf=pdf, edges=edges, queries=qs)
 
 
+def _with_job_count(spark, group, run):
+    """``run()`` and the number of Spark jobs it started (``group`` must be
+    new to the session)."""
+    sc = spark.sparkContext
+    sc.setJobGroup(group, group)
+    try:
+        out = run()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    return out, len(sc.statusTracker().getJobIdsForGroup(group))
+
+
 @pytest.mark.parametrize("runner", RUNNERS)
 def test_empty_batch(spark, fig1, fig1_edges, runner):
-    assert RUNNERS[runner](spark, _workload(fig1.pdf, fig1_edges, [], 5)) == []
+    """An empty batch answers ``[]`` without a Spark job."""
+    w = _workload(fig1.pdf, fig1_edges, [], 5)
+    got, jobs = _with_job_count(
+        spark, f"test-empty-batch-{runner}", lambda: RUNNERS[runner](spark, w)
+    )
+    assert got == [] and jobs == 0
 
 
 def test_batch_results_share_edge_tuples(spark, fig1_edges):
@@ -191,17 +209,12 @@ def test_batch_results_share_edge_tuples(spark, fig1_edges):
 
 @pytest.mark.parametrize("runner", RUNNERS)
 def test_batch_runs_in_two_spark_jobs(spark, fig1, fig1_edges, runner):
-    """One batch is the edge collect plus the answer collect, at any Q."""
-    sc = spark.sparkContext
-    group = f"test-batch-jobs-{runner}"
-    qs = [(FIG1_IDS["s"], FIG1_IDS["t"])] * 9
-    sc.setJobGroup(group, f"one {runner} batch")
-    try:
-        RUNNERS[runner](spark, _workload(fig1.pdf, fig1_edges, qs, 7))
-    finally:
-        sc.setLocalProperty("spark.jobGroup.id", None)
-    sc._jsc.sc().listenerBus().waitUntilEmpty()
-    assert len(sc.statusTracker().getJobIdsForGroup(group)) <= 2
+    """A batch of Q ≥ 2 queries is the edge collect plus the answer collect."""
+    w = _workload(fig1.pdf, fig1_edges, [(FIG1_IDS["s"], FIG1_IDS["t"])] * 9, 7)
+    _, jobs = _with_job_count(
+        spark, f"test-batch-jobs-{runner}", lambda: RUNNERS[runner](spark, w)
+    )
+    assert jobs <= 2
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +288,27 @@ def test_batch_plumbing_matches_bruteforce(
         assert es >= want if runner in SUPERSET else es == want, (s, t)
     assert got[-5] == got[1]
     assert not got[-4] and not got[-3] and not got[-2]
+
+
+@pytest.mark.parametrize("runner", RUNNERS)
+def test_one_query_batch_is_one_spark_job(
+    spark, plumbing_graph, plumbing_truth, runner
+):
+    """A Q=1 batch is the edge collect alone (its kernel runs on the driver).
+    Its answer is the one its query gets inside a larger batch, and brute
+    force's SPG (a superset of it for KHSQ / KHSQ⁺)."""
+    pdf, edges = plumbing_graph
+    k = 5
+    qs, truth = plumbing_truth(k)
+    batch = RUNNERS[runner](spark, _workload(pdf, edges, qs, k))
+    for i in (0, 1, len(qs) - 1):
+        w = _workload(pdf, edges, qs[i : i + 1], k)
+        (got,), jobs = _with_job_count(
+            spark, f"test-one-query-{runner}-{i}", lambda: RUNNERS[runner](spark, w)
+        )
+        assert jobs == 1, qs[i]
+        assert got == batch[i], qs[i]
+        assert got >= truth[i] if runner in SUPERSET else got == truth[i], qs[i]
 
 
 def test_duplicate_rows_are_one_edge(spark, plumbing_graph, plumbing_truth):

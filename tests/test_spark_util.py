@@ -19,8 +19,8 @@ from repro.bench_harness import make_session
 from repro.core.eve import eve_spg_batch
 from repro.graphs.generators import figure1_graph, to_spark
 spark = make_session("no-pythonpath", 1)
-res = eve_spg_batch(spark, to_spark(spark, figure1_graph()), [({s}, {t})], 6)
-print(sorted(res[0].spg))
+res = eve_spg_batch(spark, to_spark(spark, figure1_graph()), [({s}, {t})] * 2, 6)
+print([sorted(r.spg) for r in res])
 spark.stop()
 """
 
@@ -66,7 +66,8 @@ def test_ensure_session_env_adds_each_missing_conf(monkeypatch):
 
 def test_python_workers_import_repro_without_pythonpath(tmp_path):
     """``eve_spg_batch`` answers in a fresh session whose Python workers get
-    no ``PYTHONPATH`` from the environment."""
+    no ``PYTHONPATH`` from the environment. The batch has two queries, as a
+    one-query batch runs on the driver and would start no Python worker."""
     s, t = FIG1_IDS["s"], FIG1_IDS["t"]
     want = bf.spg_edges(adjacency(figure1_graph()), s, t, 6)
     src = Path(su.__file__).resolve().parents[1]
@@ -79,4 +80,4 @@ def test_python_workers_import_repro_without_pythonpath(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr[-3000:]
-    assert ast.literal_eval(proc.stdout.strip().splitlines()[-1]) == sorted(want)
+    assert ast.literal_eval(proc.stdout.strip().splitlines()[-1]) == [sorted(want)] * 2
