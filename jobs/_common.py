@@ -27,7 +27,7 @@ def base_parser(desc: str) -> argparse.ArgumentParser:
                    help="dataset size tier (see repro.graphs.datasets)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-rows", type=int, default=2_000_000,
-                   help="path prefixes one query may make before "
+                   help="paths (grown or joined) one query may make before "
                         "its enumeration reads INF")
     p.add_argument("--out", default=None, help="append markdown to this file")
     return p

@@ -58,7 +58,7 @@ def main() -> None:
             )
             rows.append(cells)
             print(f"[figure8] {cells}", flush=True)
-            w.edges.unpersist()
+            w.close()
     table = fmt_markdown_table(
         ["dataset", "k", "EVE (s)", "JOIN (s)", "PathEnum (s)",
          "EVE phases d/p/l/v (s)"],

@@ -33,7 +33,7 @@ def main() -> None:
                 results, _ = run_eve(spark, w)
                 ratios = [r.redundant_ratio for r in results]
                 row.append(f"{100 * sum(ratios) / len(ratios):.4f}%")
-                w.edges.unpersist()
+                w.close()
             except RuntimeError as exc:  # not enough reachable queries
                 row.append(f"n/a ({exc})")
         rows.append(row)

@@ -57,7 +57,7 @@ def main() -> None:
             if n0 is None:
                 for r in (r_khsq, r_khsqp, r_eve):
                     r.append("base INF")
-                w.edges.unpersist()
+                w.close()
                 continue
 
             def cell(prep_secs, reduced, row):
@@ -78,7 +78,7 @@ def main() -> None:
             cell(t_gkp, gkp, r_khsqp)
             eve_res, t_eve = run_eve(spark, w)
             cell(t_eve, [r.spg for r in eve_res], r_eve)
-            w.edges.unpersist()
+            w.close()
             print(f"[table4] k={k} {name}: khsq={r_khsq[-1]} "
                   f"khsq+={r_khsqp[-1]} eve={r_eve[-1]}", flush=True)
         out_rows["KHSQ"].append(r_khsq)

@@ -68,7 +68,7 @@ def main() -> None:
             rows[label].append(round(t_base / (t_gkp + t_red), 2))
         rows["EVE total (s)"].append(round(t_eve, 1))
         print(f"[table5] {name}: {[r[-1] for r in rows.values()]}", flush=True)
-        w.edges.unpersist()
+        w.close()
     table = fmt_markdown_table([""] + datasets, list(rows.values()))
     emit(
         f"### Table 5 — speedups for generating SPG_k on G^k_st "

@@ -13,9 +13,9 @@ Spark's Python workers through :func:`repro.spark_util.map_queries`.
   ``t`` on the meeting vertex, vertex-disjoint apart from it — the JOIN
   algorithm of [27, 29] (and PathEnum's join mode, with distance maps).
 
-Both grow their prefixes with one loop. ``max_rows`` caps the path prefixes
-one query makes; past it the function returns ``None``, the reproduction's
-stand-in for the paper's *INF* timeout.
+Both grow their prefixes with one loop. ``max_rows`` caps the paths (grown
+or joined) one query makes; past it the function returns ``None``, the
+reproduction's stand-in for the paper's *INF* timeout.
 """
 from __future__ import annotations
 
@@ -80,7 +80,8 @@ def join_paths(
     ``s``) to depth ``k - h1``. Prefixes that reached ``t`` are complete
     paths; prefixes of length exactly ``h1`` join the suffixes that end on
     their last vertex and share no other vertex with them — a unique split,
-    so no path comes twice. Optional distance maps prune both expansions
+    so no path comes twice. Every prefix, suffix and joined path counts
+    against ``max_rows``. Optional distance maps prune both expansions
     (PathEnum's join mode); the plain JOIN baseline runs without them.
     """
     h1 = (k + 1) // 2
@@ -93,6 +94,7 @@ def join_paths(
     bwd = _grow(adj.rev, t, s, k - h1, k, dist_s, budget)
     if bwd is None:
         return None
+    budget -= len(bwd[0]) + sum(map(len, bwd[1]))
     # Suffixes are stored as [t, …, meeting vertex].
     by_meet: Dict[int, List[Path]] = {}
     for level in bwd[1]:
@@ -102,5 +104,8 @@ def join_paths(
         on_p = set(p)
         for q in by_meet.get(p[-1], ()):
             if len(on_p.intersection(q)) == 1:
+                budget -= 1
+                if budget < 0:
+                    return None
                 paths.append(p + q[-2::-1])
     return paths

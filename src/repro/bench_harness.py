@@ -7,8 +7,8 @@ the same protocol for every contender), and formats paper-style tables.
 Every run works on one *batch* of queries per (dataset, k) cell — the
 analogue of the paper's 1000-random-query totals (query counts are scaled
 down for laptop Spark; see DESIGN.md §3). Every contender runs the same way:
-a per-query kernel over the broadcast graph, in Spark's Python workers
-(:func:`repro.spark_util.map_queries`).
+a per-query kernel over the workload's graph, loaded once, in Spark's
+Python workers (:func:`repro.spark_util.map_queries`).
 """
 from __future__ import annotations
 
@@ -27,18 +27,24 @@ from repro.graphs.datasets import dataset_edges_pdf
 from repro.graphs.generators import to_spark
 from repro.graphs.model import Edge, Graph
 from repro.graphs.queries import random_queries
-from repro.spark_util import map_queries, tune_runtime
+from repro.spark_util import LoadedGraph, load_graph, map_queries, tune_runtime
 
 
 @dataclass
 class Workload:
-    """One (dataset, k) experiment cell: graph + query batch."""
+    """One (dataset, k) experiment cell: graph (``edges`` loaded once, kept
+    by ``dataclasses.replace(w, queries=…)``) + query batch."""
 
     name: str
     k: int
     edges_pdf: pd.DataFrame
     edges: DataFrame
+    graph: LoadedGraph
     queries: List[Tuple[int, int]]
+
+    def close(self) -> None:
+        self.edges.unpersist()
+        self.graph.close()
 
 
 def make_workload(
@@ -50,17 +56,18 @@ def make_workload(
     n_queries: int = 10,
     seed: int = 0,
 ) -> Workload:
-    """Materialise a dataset stand-in and a seeded k-hop-reachable batch."""
+    """Materialise a dataset stand-in, load its graph, and draw a seeded
+    k-hop-reachable batch."""
     pdf = dataset_edges_pdf(name, scale)
-    edges = to_spark(spark, pdf).repartition(max(1, len(pdf) // 50_000 + 1)).cache()
-    edges.count()
     qs = random_queries(pdf, k, n_queries, seed=seed)
-    return Workload(name=name, k=k, edges_pdf=pdf, edges=edges, queries=qs)
+    edges = to_spark(spark, pdf).repartition(max(1, len(pdf) // 50_000 + 1)).cache()
+    graph = load_graph(spark, edges)  # its edge collect fills the cache
+    return Workload(name=name, k=k, edges_pdf=pdf, edges=edges, graph=graph, queries=qs)
 
 
 # ---------------------------------------------------------------------------
 # Timed runners. Each answers every query of the workload through
-# ``map_queries`` (two Spark jobs; one for a single query, which runs on the
+# ``map_queries`` (one Spark job; none for a single query, which runs on the
 # driver to skip a Python-worker job's ~0.1 s) and returns (answers, seconds).
 # ---------------------------------------------------------------------------
 
@@ -72,12 +79,12 @@ def _per_query(
 ) -> List:
     """``kernel(adj, s, t)`` for each query of ``w``, in query order.
 
-    ``adj`` is the workload's broadcast ``Graph``, or with ``reduced`` a
+    ``adj`` is the workload's loaded ``Graph``, or with ``reduced`` a
     ``Graph`` of the query's own edge set (Table 4/5's "on G^k_st / on
     SPG_k"), which travels inside the query's item instead of a broadcast.
     """
     if reduced is None:
-        return map_queries(spark, w.queries, lambda adj, st: kernel(adj, *st), w.edges)
+        return map_queries(spark, w.queries, lambda adj, st: kernel(adj, *st), w.graph)
     items = [(s, t, es) for (s, t), es in zip(w.queries, reduced)]
     return map_queries(spark, items, lambda _, item: kernel(Graph(item[2]), *item[:2]))
 
@@ -87,7 +94,7 @@ def run_eve(
 ) -> Tuple[List[EveResult], float]:
     """EVE over the workload batch; returns (results, wall seconds)."""
     t0 = time.perf_counter()
-    results = eve_spg_batch(spark, w.edges, w.queries, w.k, **opts)
+    results = eve_spg_batch(spark, w.graph, w.queries, w.k, **opts)
     return results, time.perf_counter() - t0
 
 
@@ -100,8 +107,8 @@ def _enumerate(
     max_rows: Optional[int],
 ) -> List:
     """``summary`` of each query's path list, or ``None`` for a query that
-    makes more than ``max_rows`` path prefixes; ``algo`` ∈ {"join",
-    "pathenum"}."""
+    makes more than ``max_rows`` paths (grown prefixes or joined paths);
+    ``algo`` ∈ {"join", "pathenum"}."""
     enumerate_ = {"join": join_paths, "pathenum": pathenum_paths}[algo]
     k = w.k
 
@@ -124,8 +131,8 @@ def run_spg_via_enumeration(
 
     ``algo`` ∈ {"join", "pathenum"}; ``reduced`` gives each query its own
     search graph (e.g. its ``G^k_st`` for Table 5). Returns
-    ``(None, elapsed)`` when a query makes more than ``max_rows`` path
-    prefixes — the INF entries of Figure 8.
+    ``(None, elapsed)`` when a query makes more than ``max_rows`` paths —
+    the INF entries of Figure 8.
     """
     t0 = time.perf_counter()
     spgs = _enumerate(

@@ -7,14 +7,12 @@ paper's protocol is a batch of independent random queries (§6.1). So
 propagation → Algorithm 2 labeling → Algorithm 3 verification — once per
 query, inside Spark's Python workers:
 
-the shared runner :func:`repro.spark_util.map_queries` broadcasts the
-:class:`repro.graphs.model.Graph` of the ``(src, dst)`` edges (each distinct
-edge once; its reverse is built once per task), maps each ``(s, t)`` pair
-to its ``reference_eve`` answer on the broadcast graph and collects the
-answers in query order. The step uses the RDD API because its input and
-output are Python objects (query pairs, edge sets, phase times), not
-relations. A batch is two Spark jobs, the edge collect and the answer collect;
-a one-query batch runs on the driver, skipping the answer job (about 0.1 s).
+the shared runner :func:`repro.spark_util.map_queries` maps each ``(s, t)``
+pair to its ``reference_eve`` answer on the graph the caller loaded once
+(:func:`repro.spark_util.load_graph`) and collects the answers in query
+order. The step uses the RDD API because its input and output are Python
+objects (query pairs, edge sets, phase times), not relations. A batch is
+one Spark job; a one-query batch runs on the driver and starts none.
 The graph must fit in one Python worker; see DESIGN.md "Layering".
 """
 from __future__ import annotations
@@ -22,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 
 from repro import spark_util
 from repro.core.reference import ev_tables, label_edge, reference_eve
@@ -43,19 +41,24 @@ DFPin = spark_util.DFPin
 
 @dataclass
 class EveResult:
-    """Output of one EVE query: ``reference_eve``'s edge sets and timings."""
+    """Output of one EVE query: ``reference_eve``'s edge sets, stored as
+    tuples of the loaded graph's canonical edges, and timings."""
 
     s: int
     t: int
     k: int
-    #: exact E(SPG_k(s,t)); ``definite`` itself when the two are equal (k ≤ 4)
-    spg: FrozenSet[Edge]
+    #: E(SPG_k(s,t)); the ``_definite`` tuple itself when the two are equal
+    _spg: Tuple[Edge, ...]
     #: definite (label 2) and undetermined (label 1) edges
-    definite: FrozenSet[Edge]
-    undetermined: FrozenSet[Edge]
+    _definite: Tuple[Edge, ...]
+    _undetermined: Tuple[Edge, ...]
     #: wall-clock seconds of this query's phases, one key per phase in
     #: :data:`repro.core.reference.PHASES`
     timings: Dict[str, float] = field(default_factory=dict)
+
+    spg = property(lambda self: frozenset(self._spg), doc="Exact E(SPG_k(s,t)).")
+    definite = property(lambda self: frozenset(self._definite))
+    undetermined = property(lambda self: frozenset(self._undetermined))
 
     @property
     def upper(self) -> FrozenSet[Edge]:
@@ -72,7 +75,7 @@ class EveResult:
 
 def eve_spg_batch(
     spark: SparkSession,
-    edges: DataFrame,
+    graph: spark_util.LoadedGraph,
     query_pairs: Sequence[Tuple[int, int]],
     k: int,
     *,
@@ -82,18 +85,15 @@ def eve_spg_batch(
 ) -> List[EveResult]:
     """Generate SPG_k(s,t) for every query in the batch with EVE.
 
-    ``edges`` is one graph shared by every query: ``src`` and ``dst``
-    columns, self-loops allowed, a duplicated row counted as one edge.
-    Options mirror the paper's ablations (Fig. 11): ``prune`` toggles
-    forward-looking pruning, ``order`` the §5.3 search-ordering strategy.
-    Every result's ``timings`` holds its own query's phase times whatever
-    ``time_phases`` says; the option does nothing and stays only because
-    the benchmark's traced run passes it.
+    ``graph`` is one graph shared by every query, loaded once with
+    :func:`repro.spark_util.load_graph`. Options mirror the paper's
+    ablations (Fig. 11): ``prune`` toggles forward-looking pruning, ``order``
+    the §5.3 search-ordering strategy. Every result's ``timings`` holds its
+    own query's phase times whatever ``time_phases`` says; the option does
+    nothing and stays only because the benchmark's traced run passes it.
     """
     if k < 1:
         raise ValueError(f"hop constraint k must be >= 1, got {k}")
-    if "qid" in edges.columns:
-        raise ValueError("edges must be one (src, dst) graph, not per-query edge sets")
     pairs = [(int(s), int(t)) for s, t in query_pairs]
     if any(s == t for s, t in pairs):
         raise ValueError("query requires s != t")
@@ -101,20 +101,17 @@ def eve_spg_batch(
         spark,
         pairs,
         lambda adj, st: reference_eve(adj, *st, k, prune=prune, order=order),
-        edges,
+        graph,
     )
 
-    # The queries of a batch share most of their edges, and callers keep many
-    # results: every result refers to one tuple per distinct edge. Popping
-    # frees each collected answer once its result is built, so the driver
-    # never holds the whole batch twice.
-    canon: Dict[Edge, Edge] = {}
+    # Popping frees each collected answer once its result is built, so the
+    # driver never holds the whole batch twice.
     answers.reverse()
     results = []
     for s, t in pairs:
         *edge_sets, timings = answers.pop()
         spg, definite, undetermined = (
-            frozenset([canon.setdefault(e, e) for e in es]) for es in edge_sets
+            tuple([graph.edges[e] for e in es]) for es in edge_sets
         )
         spg = definite if len(spg) == len(definite) else spg  # definite ⊆ spg
         results.append(EveResult(s, t, k, spg, definite, undetermined, timings))

@@ -36,14 +36,17 @@ class Graph(dict):
 
     ``rev`` is the reverse graph, built on first use and kept, so the
     queries that share one graph (one broadcast value in a Python worker)
-    build it once. A fresh ``Graph`` pickles as its dict alone. Do not add
-    edges to a ``Graph`` whose ``rev`` has been read.
+    build it once. A ``Graph`` pickles as its dict alone, even once ``rev``
+    was read. Do not add edges to a ``Graph`` whose ``rev`` has been read.
     """
 
     def __init__(self, edges: Iterable[Edge]) -> None:
         super().__init__()
         for u, v in dict.fromkeys(edges):
             self.setdefault(u, []).append(v)
+
+    def __reduce__(self):
+        return Graph, ((),), None, None, iter(self.items())
 
     @cached_property
     def rev(self) -> Graph:

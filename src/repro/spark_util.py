@@ -1,11 +1,10 @@
-"""Spark helpers: session set-up and the one way a batch of queries runs.
+"""Spark helpers: session set-up, the loaded graph and the batch runner.
 
 Every contender (EVE and the baselines of §6) answers one query on one
-machine, so Spark parallelises over queries. :func:`map_queries` broadcasts
-the :class:`repro.graphs.model.Graph`, runs a per-query Python kernel over
-the query items in Spark's Python workers and collects the answers in query
-order: two Spark jobs per call. A one-item call runs its kernel on the driver
-after the edge collect, as a Python-worker job costs about 0.1 s whatever it does.
+machine, so Spark parallelises over queries. :func:`load_graph` collects the
+edges once; :func:`map_queries` runs a per-query kernel over the items in
+Python workers against its broadcast: one Spark job per call. A one-item
+call runs its kernel on the driver, as a Python-worker job costs about 0.1 s.
 
 :class:`DFPin` (lazy ``localCheckpoint`` of an iterative DataFrame) has no
 caller in the program; the benchmark's per-layer tracer subclasses it.
@@ -14,12 +13,14 @@ from __future__ import annotations
 
 import os
 import shlex
+from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from pyspark import Broadcast, SparkContext
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.graphs.model import Graph, adjacency
+from repro.graphs.model import Edge, Graph, adjacency
 
 
 def ensure_session_env() -> None:
@@ -68,40 +69,66 @@ def tune_runtime(spark: SparkSession, n_partitions: int = 4) -> None:
     spark.conf.set("spark.sql.adaptive.enabled", "false")
 
 
+class LoadedGraph:
+    """An edge DataFrame collected once, for every batch its caller sends.
+
+    ``graph`` is its :class:`Graph`; ``edges`` maps each distinct edge to one
+    canonical tuple, which results of every batch share. The caller owns the
+    object: :meth:`close` destroys the broadcast, and a later call raises.
+    """
+
+    def __init__(self, sc: SparkContext, graph: Graph) -> None:
+        self.graph, self.closed, self._sc = graph, False, sc
+        pairs = ((u, v) for u, vs in graph.items() for v in vs)
+        self.edges: Dict[Edge, Edge] = {e: e for e in pairs}
+
+    @cached_property
+    def broadcast(self) -> Broadcast:
+        """Made by the first call of two or more items, reused by the rest."""
+        return self._sc.broadcast(self.graph)
+
+    def close(self) -> None:
+        if "broadcast" in vars(self):
+            self.broadcast.destroy()
+        self.closed = True
+
+
+def load_graph(spark: SparkSession, edges: DataFrame) -> LoadedGraph:
+    """The graph of ``edges`` (``src`` and ``dst`` columns, a duplicated row
+    counted as one edge), collected once: one Spark job."""
+    if "qid" in edges.columns:
+        raise ValueError("edges must be one (src, dst) graph, not per-query edge sets")
+    return LoadedGraph(spark.sparkContext, adjacency(edges.select("src", "dst").toPandas()))
+
+
 def map_queries(
     spark: SparkSession,
     items: Sequence,
     kernel: Callable[[Optional[Graph], Any], Any],
-    edges: Optional[DataFrame] = None,
+    graph: Optional[LoadedGraph] = None,
 ) -> List:
     """``kernel(adj, item)`` for every item, run in Spark's Python workers;
     the answers come back in the items' order.
 
-    ``adj`` is the ``Graph`` of ``edges`` (``src`` and ``dst`` columns),
-    collected once per call and broadcast without its reverse; the items of
-    one task share it, so ``adj.rev`` is built once per task. Without
-    ``edges`` nothing is broadcast and ``adj`` is ``None`` (each item then
-    carries its own graph). The items are spread over
-    ``min(len(items), defaultParallelism)`` partitions, and the call is two
-    Spark jobs: the edge collect and the answer collect. An empty call starts
-    none; one item runs on the driver, skipping the answer job's ~0.1 s cost.
+    ``adj`` is ``graph.graph``: a Python worker unpickles its broadcast once
+    and keeps it, so it builds ``adj.rev`` once. Without ``graph`` it is ``None``
+    (each item carries its own graph). The items are spread over
+    ``min(len(items), defaultParallelism)`` partitions in one Spark job; an
+    empty call starts none, and one item runs on the driver.
     """
+    if graph is not None and graph.closed:
+        raise ValueError("the graph was closed")
     if not items:
         return []
-    sc = spark.sparkContext
-    adj = None if edges is None else adjacency(edges.select("src", "dst").toPandas())
     if len(items) < 2:
-        return [kernel(adj, item) for item in items]
-    graph = None if adj is None else sc.broadcast(adj)
-    try:
-        return (
-            sc.parallelize(items, max(1, min(len(items), sc.defaultParallelism)))
-            .map(lambda item: kernel(graph.value if graph is not None else None, item))
-            .collect()
-        )
-    finally:
-        if graph is not None:
-            graph.destroy()
+        return [kernel(None if graph is None else graph.graph, item) for item in items]
+    sc = spark.sparkContext
+    shared = None if graph is None else graph.broadcast
+    return (
+        sc.parallelize(items, max(1, min(len(items), sc.defaultParallelism)))
+        .map(lambda item: kernel(None if shared is None else shared.value, item))
+        .collect()
+    )
 
 
 class DFPin:

@@ -23,6 +23,7 @@ from repro.graphs.generators import (
 )
 from repro.graphs.model import adjacency
 from repro.graphs.queries import random_queries
+from repro.spark_util import load_graph
 
 Edge = Tuple[int, int]
 
@@ -53,6 +54,14 @@ def fig1_edges(spark, fig1):
     e = to_spark(spark, fig1.pdf).repartition(1).cache()
     e.count()
     return e
+
+
+@pytest.fixture(scope="session")
+def fig1_graph(spark, fig1_edges):
+    """The Figure-1 graph, loaded once for every test that sends it batches."""
+    graph = load_graph(spark, fig1_edges)
+    yield graph
+    graph.close()
 
 
 #: (combo name, generator kwargs, k, #queries) — the Spark end-to-end grid.
@@ -88,10 +97,9 @@ def eve_cases(spark) -> Dict[str, List[EveCase]]:
     for name, gkw, k, nq in EVE_COMBOS:
         pdf = random_digraph(**gkw)
         adj = adjacency(pdf)
-        edges = to_spark(spark, pdf).repartition(1).cache()
-        edges.count()
+        graph = load_graph(spark, to_spark(spark, pdf))
         qs = random_queries(pdf, k, nq, seed=17)
-        results = eve_spg_batch(spark, edges, qs, k)
+        results = eve_spg_batch(spark, graph, qs, k)
         cases = []
         for (s, t), res in zip(qs, results):
             cases.append(
@@ -101,16 +109,16 @@ def eve_cases(spark) -> Dict[str, List[EveCase]]:
                 )
             )
         out[name] = cases
-        edges.unpersist()
+        graph.close()
     return out
 
 
 @pytest.fixture(scope="session")
-def fig1_eve(spark, fig1, fig1_edges) -> Dict[int, EveResult]:
+def fig1_eve(spark, fig1_graph) -> Dict[int, EveResult]:
     """Fig-1 EVE results for the k values the paper's examples use."""
     s, t = FIG1_IDS["s"], FIG1_IDS["t"]
     return {
-        k: eve_spg_batch(spark, fig1_edges, [(s, t)], k)[0]
+        k: eve_spg_batch(spark, fig1_graph, [(s, t)], k)[0]
         for k in (4, 5, 7)
     }
 

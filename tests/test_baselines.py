@@ -128,6 +128,20 @@ def test_budget_returns_none(bsetup):
         assert set(enumerate_(adj, s, t, K, max_rows=10**6)) == want, algo
 
 
+def test_join_counts_joined_paths_against_the_budget():
+    """``s → a_i → m → b_j → t`` at k=4: each half makes 2·10 paths, the
+    join 10·10. A budget the halves fit but their product does not reads
+    INF; one that fits both returns every path."""
+    s, m, t = 0, 1, 2
+    a, b = range(10, 20), range(20, 30)
+    adj = Graph([(s, x) for x in a] + [(x, m) for x in a]
+                + [(m, y) for y in b] + [(y, t) for y in b])
+    assert join_paths(adj, s, t, 4, max_rows=50) is None
+    paths = join_paths(adj, s, t, 4, max_rows=140)
+    assert sorted(paths) == sorted(bf.simple_paths(adj, s, t, 4))
+    assert len(paths) == 100
+
+
 def test_per_query_reduced_graph_enumeration(bsetup):
     """Enumeration on each query's own SPG == enumeration on the whole
     graph (the Table-4 'PathEnum on SPG_k' path)."""

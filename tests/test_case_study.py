@@ -11,6 +11,7 @@ from repro.baselines import bruteforce as bf
 from repro.core.eve import eve_spg_batch
 from repro.graphs.generators import random_digraph, to_spark
 from repro.graphs.model import adjacency
+from repro.spark_util import load_graph
 
 K = 5
 
@@ -21,9 +22,9 @@ def txn_graph(spark):
     # which is what produces short money-laundering cycles.
     pdf = random_digraph("power_law", 80, 4, seed=41)
     adj = adjacency(pdf)
-    edges = to_spark(spark, pdf).repartition(1).cache()
-    edges.count()
-    return pdf, adj, edges
+    graph = load_graph(spark, to_spark(spark, pdf))
+    yield pdf, adj, graph
+    graph.close()
 
 
 def _cycle_edges(adj, t, s, k):
@@ -37,7 +38,7 @@ def _cycle_edges(adj, t, s, k):
 
 
 def test_cycle_extraction_matches_reference(spark, txn_graph):
-    pdf, adj, edges, = txn_graph
+    pdf, adj, graph = txn_graph
     # pick suspicious transactions: edges (t, s) that lie on some cycle
     suspicious = []
     for (t, s) in zip(pdf["src"], pdf["dst"]):
@@ -46,7 +47,7 @@ def test_cycle_extraction_matches_reference(spark, txn_graph):
         if len(suspicious) == 5:
             break
     assert suspicious, "generator produced no short cycles"
-    results = eve_spg_batch(spark, edges, suspicious, K)
+    results = eve_spg_batch(spark, graph, suspicious, K)
     for (s, t), res in zip(suspicious, results):
         want = _cycle_edges(adj, t, s, K)
         assert res.spg | {(t, s)} == want

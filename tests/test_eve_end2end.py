@@ -7,6 +7,9 @@
 The heavy Spark batches are computed once per (graph, k) combo in the
 session-scoped ``eve_cases`` fixture; the tests here fan out per query.
 """
+import os
+from collections import Counter
+
 import pandas as pd
 import pytest
 
@@ -20,6 +23,7 @@ from repro.core.reference import PHASES, reference_eve
 from repro.graphs.generators import FIG1_IDS, random_digraph, to_spark
 from repro.graphs.model import adjacency, bfs_dist
 from repro.graphs.queries import random_queries
+from repro.spark_util import load_graph, map_queries
 
 from tests.conftest import COMBO_IDS, EVE_COMBOS
 
@@ -99,12 +103,12 @@ ABLATIONS = [
 def ablation_setup(spark):
     gkw = dict(kind="community", n=80, avg_deg=5, seed=23)
     pdf = random_digraph(**gkw)
-    edges = to_spark(spark, pdf).repartition(1).cache()
-    edges.count()
+    graph = load_graph(spark, to_spark(spark, pdf))
     k = 6
     qs = random_queries(pdf, k, 6, seed=3)
-    base = eve_spg_batch(spark, edges, qs, k)
-    return pdf, edges, k, qs, base
+    base = eve_spg_batch(spark, graph, qs, k)
+    yield pdf, graph, k, qs, base
+    graph.close()
 
 
 @pytest.mark.parametrize(
@@ -112,8 +116,8 @@ def ablation_setup(spark):
 )
 def test_ablations_do_not_change_answers(spark, ablation_setup, opts):
     """Pruning and ordering are pure optimisations."""
-    pdf, edges, k, qs, base = ablation_setup
-    got = eve_spg_batch(spark, edges, qs, k, **opts)
+    pdf, graph, k, qs, base = ablation_setup
+    got = eve_spg_batch(spark, graph, qs, k, **opts)
     for b, g in zip(base, got):
         assert g.spg == b.spg
         assert g.upper == b.upper
@@ -121,37 +125,38 @@ def test_ablations_do_not_change_answers(spark, ablation_setup, opts):
 
 
 def test_ablation_base_matches_truth(ablation_setup):
-    pdf, edges, k, qs, base = ablation_setup
+    pdf, graph, k, qs, base = ablation_setup
     adj = adjacency(pdf)
     for (s, t), res in zip(qs, base):
         assert res.spg == bf.spg_edges(adj, s, t, k)
 
 
-def test_rejects_s_equals_t(spark, fig1_edges):
+def test_rejects_s_equals_t(spark, fig1_graph):
     with pytest.raises(ValueError):
-        eve_spg_batch(spark, fig1_edges, [(0, 0)], 4)
+        eve_spg_batch(spark, fig1_graph, [(0, 0)], 4)
 
 
 @pytest.mark.parametrize("k", [0, -1])
-def test_rejects_k_below_1(spark, fig1_edges, k):
+def test_rejects_k_below_1(spark, fig1_graph, k):
     with pytest.raises(ValueError, match="k must be >= 1"):
-        eve_spg_batch(spark, fig1_edges, [(0, 1)], k)
+        eve_spg_batch(spark, fig1_graph, [(0, 1)], k)
 
 
 def test_rejects_per_query_edge_table(spark, fig1_edges):
-    """A ``(qid, src, dst)`` table would be read as the union of its graphs."""
+    """A ``(qid, src, dst)`` table would be read as the union of its graphs,
+    so the load refuses it."""
     per_query = fig1_edges.selectExpr("0 AS qid", "src", "dst")
     with pytest.raises(ValueError, match="not per-query edge sets"):
-        eve_spg_batch(spark, per_query, [(FIG1_IDS["s"], FIG1_IDS["t"])], 5)
+        load_graph(spark, per_query)
 
 
 @pytest.mark.parametrize("k", [4, 6])
-def test_timings_keys_do_not_depend_on_time_phases(spark, fig1_edges, k):
+def test_timings_keys_do_not_depend_on_time_phases(spark, fig1_graph, k):
     """Every result times its own query's four phases, with or without
     ``time_phases``."""
     qs = [(FIG1_IDS["s"], FIG1_IDS["t"]), (FIG1_IDS["a"], FIG1_IDS["t"])]
     for time_phases in (False, True):
-        for res in eve_spg_batch(spark, fig1_edges, qs, k, time_phases=time_phases):
+        for res in eve_spg_batch(spark, fig1_graph, qs, k, time_phases=time_phases):
             assert list(res.timings) == list(PHASES)
             assert all(sec >= 0 for sec in res.timings.values())
 
@@ -168,8 +173,10 @@ RUNNERS = {
 SUPERSET = {"khsq", "khsq+"}
 
 
-def _workload(pdf, edges, qs, k):
-    return H.Workload(name="test", k=k, edges_pdf=pdf, edges=edges, queries=qs)
+def _workload(pdf, graph, qs, k):
+    """A workload on an already loaded graph (the runners read only
+    ``graph``, so it carries no edge DataFrame)."""
+    return H.Workload(name="test", k=k, edges_pdf=pdf, edges=None, graph=graph, queries=qs)
 
 
 def _with_job_count(spark, group, run):
@@ -186,20 +193,20 @@ def _with_job_count(spark, group, run):
 
 
 @pytest.mark.parametrize("runner", RUNNERS)
-def test_empty_batch(spark, fig1, fig1_edges, runner):
+def test_empty_batch(spark, fig1, fig1_graph, runner):
     """An empty batch answers ``[]`` without a Spark job."""
-    w = _workload(fig1.pdf, fig1_edges, [], 5)
+    w = _workload(fig1.pdf, fig1_graph, [], 5)
     got, jobs = _with_job_count(
         spark, f"test-empty-batch-{runner}", lambda: RUNNERS[runner](spark, w)
     )
     assert got == [] and jobs == 0
 
 
-def test_batch_results_share_edge_tuples(spark, fig1_edges):
+def test_batch_results_share_edge_tuples(spark, fig1_graph):
     """Answers computed in different Python workers refer to one tuple per
     distinct edge, so a caller that keeps many results holds each edge once."""
     qs = [(FIG1_IDS["s"], FIG1_IDS["t"]), (FIG1_IDS["a"], FIG1_IDS["t"])] * 3
-    results = eve_spg_batch(spark, fig1_edges, qs, 6)
+    results = eve_spg_batch(spark, fig1_graph, qs, 6)
     canon = {}
     for res in results:
         for e in (*res.upper, *res.spg, *res.definite, *res.undetermined):
@@ -209,12 +216,73 @@ def test_batch_results_share_edge_tuples(spark, fig1_edges):
 
 @pytest.mark.parametrize("runner", RUNNERS)
 def test_batch_runs_in_two_spark_jobs(spark, fig1, fig1_edges, runner):
-    """A batch of Q ≥ 2 queries is the edge collect plus the answer collect."""
-    w = _workload(fig1.pdf, fig1_edges, [(FIG1_IDS["s"], FIG1_IDS["t"])] * 9, 7)
-    _, jobs = _with_job_count(
-        spark, f"test-batch-jobs-{runner}", lambda: RUNNERS[runner](spark, w)
-    )
-    assert jobs <= 2
+    """From the edge DataFrame, a batch of Q ≥ 2 queries is the edge collect
+    of the load plus the answer collect."""
+    def load_and_run():
+        w = _workload(fig1.pdf, load_graph(spark, fig1_edges),
+                      [(FIG1_IDS["s"], FIG1_IDS["t"])] * 9, 7)
+        RUNNERS[runner](spark, w)
+        w.graph.close()
+
+    _, jobs = _with_job_count(spark, f"test-batch-jobs-{runner}", load_and_run)
+    assert jobs == 2
+
+
+def test_loaded_graph_engine_contract(spark, fig1_edges, monkeypatch):
+    """After the load, a Q=1 batch starts no Spark job and a Q ≥ 2 batch
+    exactly one; every batch reuses the one broadcast, and a batch after
+    ``close()`` raises."""
+    sc = spark.sparkContext
+    broadcast, made = sc.broadcast, []
+
+    def counted_broadcast(value):
+        made.append(broadcast(value))
+        return made[-1]
+
+    monkeypatch.setattr(sc, "broadcast", counted_broadcast)
+    st = (FIG1_IDS["s"], FIG1_IDS["t"])
+    graph = load_graph(spark, fig1_edges)
+    for i, qs in enumerate(([st], [st] * 3, [st], [st] * 5)):
+        _, jobs = _with_job_count(
+            spark, f"test-loaded-contract-{i}", lambda: eve_spg_batch(spark, graph, qs, 6)
+        )
+        assert jobs == (0 if len(qs) == 1 else 1), qs
+    assert len(made) == 1
+    graph.close()
+    for qs in ([st], [st] * 3):
+        with pytest.raises(ValueError, match="closed"):
+            eve_spg_batch(spark, graph, qs, 6)
+
+
+def test_results_of_two_batches_share_the_loaded_edges(spark, fig1_graph):
+    """Each result stores its edge sets as tuples of the loaded graph's
+    canonical edges, so results of different batches (on the driver or in
+    the workers) hold the very same edge objects."""
+    qs = [(FIG1_IDS["s"], FIG1_IDS["t"]), (FIG1_IDS["a"], FIG1_IDS["t"])]
+    first = eve_spg_batch(spark, fig1_graph, qs[:1], 7)
+    second = eve_spg_batch(spark, fig1_graph, qs, 7)
+    for res in first + second:
+        for stored in (res._spg, res._definite, res._undetermined):
+            assert type(stored) is tuple
+            assert all(fig1_graph.edges[e] is e for e in stored)
+    assert first[0]._spg and set(map(id, first[0]._spg)) == set(map(id, second[0]._spg))
+
+
+def test_python_workers_build_the_reverse_once(spark, fig1_edges):
+    """A Python worker unpickles the loaded graph's broadcast once and keeps
+    it across tasks and calls, so over two Q ≥ 2 calls each worker builds
+    ``rev`` once."""
+    def kernel(adj, _):
+        built = "rev" not in vars(adj)
+        adj.rev  # built here on first use
+        return os.getpid(), built
+
+    graph = load_graph(spark, fig1_edges)
+    n = 2 * spark.sparkContext.defaultParallelism
+    answers = [a for _ in range(2) for a in map_queries(spark, range(n), kernel, graph)]
+    graph.close()
+    builds = Counter(pid for pid, built in answers if built)
+    assert builds and max(builds.values()) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +297,8 @@ SINK = 10_001  # has an out-edge only, so no query reaches it
 @pytest.fixture(scope="module")
 def plumbing_graph(spark):
     """A random graph plus self-loops, duplicate rows and a source-only vertex,
-    as an edge DataFrame that is neither deduplicated nor canonicalised."""
+    as an edge DataFrame that is neither deduplicated nor canonicalised, and
+    its loaded graph."""
     pdf = random_digraph("er", 30, 3, seed=4)
     first = int(pdf["src"].iloc[0])
     extra = pd.DataFrame(
@@ -237,13 +306,16 @@ def plumbing_graph(spark):
         columns=["src", "dst"],
     )
     pdf = pd.concat([pdf, pdf.iloc[:5], extra], ignore_index=True)
-    return pdf, spark.createDataFrame(pdf)
+    edges = spark.createDataFrame(pdf)
+    graph = load_graph(spark, edges)
+    yield pdf, edges, graph
+    graph.close()
 
 
 @pytest.fixture(scope="module")
 def plumbing_truth(spark, plumbing_graph):
     """``k`` → (batch, brute-force SPG per query), each k computed once."""
-    pdf, _ = plumbing_graph
+    pdf = plumbing_graph[0]
     adj = adjacency(pdf)
     n_queries = 2 * spark.sparkContext.defaultParallelism + 1
     cache = {}
@@ -273,16 +345,16 @@ def test_batch_plumbing_matches_bruteforce(
     """Each answer of a batch larger than its partition count, with a
     duplicate query, absent endpoints and an unreachable t, is its own
     query's brute-force SPG (a superset of it for KHSQ / KHSQ⁺)."""
-    pdf, edges = plumbing_graph
+    pdf, _, graph = plumbing_graph
     qs, truth = plumbing_truth(k)
     if runner == "eve":
-        results = eve_spg_batch(spark, edges, qs, k)
+        results = eve_spg_batch(spark, graph, qs, k)
         for (s, t), res in zip(qs, results):
             assert (res.s, res.t, res.k) == (s, t, k)
             assert res.definite <= res.spg <= res.upper
         got = [res.spg for res in results]
     else:
-        got = RUNNERS[runner](spark, _workload(pdf, edges, qs, k))
+        got = RUNNERS[runner](spark, _workload(pdf, graph, qs, k))
     assert len(got) == len(qs)
     for (s, t), es, want in zip(qs, got, truth):
         assert es >= want if runner in SUPERSET else es == want, (s, t)
@@ -294,17 +366,24 @@ def test_batch_plumbing_matches_bruteforce(
 def test_one_query_batch_is_one_spark_job(
     spark, plumbing_graph, plumbing_truth, runner
 ):
-    """A Q=1 batch is the edge collect alone (its kernel runs on the driver).
-    Its answer is the one its query gets inside a larger batch, and brute
-    force's SPG (a superset of it for KHSQ / KHSQ⁺)."""
-    pdf, edges = plumbing_graph
+    """From the edge DataFrame, a Q=1 batch is the edge collect of the load
+    alone (its kernel runs on the driver). Its answer is the one its query
+    gets inside a larger batch, and brute force's SPG (a superset of it for
+    KHSQ / KHSQ⁺)."""
+    pdf, edges, graph = plumbing_graph
     k = 5
     qs, truth = plumbing_truth(k)
-    batch = RUNNERS[runner](spark, _workload(pdf, edges, qs, k))
+    batch = RUNNERS[runner](spark, _workload(pdf, graph, qs, k))
+
+    def load_and_run(q):
+        w = _workload(pdf, load_graph(spark, edges), [q], k)
+        got = RUNNERS[runner](spark, w)
+        w.graph.close()
+        return got
+
     for i in (0, 1, len(qs) - 1):
-        w = _workload(pdf, edges, qs[i : i + 1], k)
         (got,), jobs = _with_job_count(
-            spark, f"test-one-query-{runner}-{i}", lambda: RUNNERS[runner](spark, w)
+            spark, f"test-one-query-{runner}-{i}", lambda: load_and_run(qs[i])
         )
         assert jobs == 1, qs[i]
         assert got == batch[i], qs[i]
@@ -315,7 +394,7 @@ def test_duplicate_rows_are_one_edge(spark, plumbing_graph, plumbing_truth):
     """A duplicated row is one edge (``E`` is a set in Definition 2.1): the
     enumeration kernels list each simple path once, and JOIN and PathEnum
     count as many paths as brute force."""
-    pdf, edges = plumbing_graph
+    pdf, _, graph = plumbing_graph
     assert pdf.duplicated().any()
     k = 5
     qs, _ = plumbing_truth(k)
@@ -331,6 +410,6 @@ def test_duplicate_rows_are_one_edge(spark, plumbing_graph, plumbing_truth):
             pathenum_paths(adj, s, t, k),
         ):
             assert sorted(got) == paths, (s, t)
-    w = _workload(pdf, edges, qs, k)
+    w = _workload(pdf, graph, qs, k)
     for algo in ("join", "pathenum"):
         assert H.run_path_enumeration(spark, w, algo)[0] == sum(map(len, want)), algo

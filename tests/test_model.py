@@ -43,6 +43,18 @@ def test_fresh_graph_pickles_without_its_reverse():
     assert type(back) is M.Graph and back == g and back.rev == g.rev
 
 
+def test_graph_pickles_without_its_reverse_after_rev_was_read():
+    """A kept graph whose ``rev`` a driver-side query built still broadcasts
+    its dict alone, and the copy builds its own reverse."""
+    g = M.Graph((i, i + 1) for i in range(10_000))
+    fresh = pickle.dumps(g, pickle.HIGHEST_PROTOCOL)
+    assert g.rev
+    assert pickle.dumps(g, pickle.HIGHEST_PROTOCOL) == fresh
+    back = pickle.loads(fresh)
+    assert type(back) is M.Graph and back == g and "rev" not in vars(back)
+    assert back.rev == g.rev
+
+
 def test_kernels_share_one_reverse(monkeypatch):
     """EVE, KHSQ and JOIN on several queries of one graph build its reverse
     once."""

@@ -189,12 +189,13 @@ def test_example_5_7_verification(fig1, fig1_eve):
 
 @pytest.mark.parametrize("k", [4, 7])
 def test_spg_is_definite_when_they_are_equal(fig1, fig1_eve, k):
-    """At k=4 SPG = SPG^u (Theorem 4.8), so the result holds one frozenset
-    for ``spg`` and ``definite``; at k=7 verification adds e(i,j) and e(j,h)
-    to the definite edges, and ``spg`` is still exact."""
+    """At k=4 SPG = SPG^u (Theorem 4.8), so the result stores one tuple for
+    ``spg`` and ``definite``; at k=7 verification adds e(i,j) and e(j,h) to
+    the definite edges, and ``spg`` is still exact."""
     res = fig1_eve[k]
     assert isinstance(res.spg, frozenset) and isinstance(res.undetermined, frozenset)
-    assert (res.spg is res.definite) == (k == 4)
+    assert type(res._spg) is tuple and type(res._definite) is tuple
+    assert (res._spg is res._definite) == (k == 4)
     assert res.spg == bf.spg_edges(fig1.adj, V[S], V[T], k)
 
 

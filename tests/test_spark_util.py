@@ -18,8 +18,10 @@ sys.path.insert(0, {src!r})
 from repro.bench_harness import make_session
 from repro.core.eve import eve_spg_batch
 from repro.graphs.generators import figure1_graph, to_spark
+from repro.spark_util import load_graph
 spark = make_session("no-pythonpath", 1)
-res = eve_spg_batch(spark, to_spark(spark, figure1_graph()), [({s}, {t})] * 2, 6)
+graph = load_graph(spark, to_spark(spark, figure1_graph()))
+res = eve_spg_batch(spark, graph, [({s}, {t})] * 2, 6)
 print([sorted(r.spg) for r in res])
 spark.stop()
 """

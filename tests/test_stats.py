@@ -3,9 +3,7 @@ from repro.core.eve import EveResult
 
 
 def _res(spg, upper):
-    return EveResult(
-        s=0, t=1, k=5, spg=set(spg), definite=set(), undetermined=set(upper),
-    )
+    return EveResult(0, 1, 5, tuple(spg), (), tuple(upper))
 
 
 def test_redundant_ratio():
