@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 
 from repro.baselines.enumeration import join_paths
 from repro.baselines.khsq import gkst
@@ -32,18 +32,16 @@ from repro.spark_util import LoadedGraph, load_graph, map_queries, tune_runtime
 
 @dataclass
 class Workload:
-    """One (dataset, k) experiment cell: graph (``edges`` loaded once, kept
-    by ``dataclasses.replace(w, queries=…)``) + query batch."""
+    """One (dataset, k) experiment cell: graph (loaded once, kept by
+    ``dataclasses.replace(w, k=…, queries=…)``) + query batch."""
 
     name: str
     k: int
     edges_pdf: pd.DataFrame
-    edges: DataFrame
     graph: LoadedGraph
     queries: List[Tuple[int, int]]
 
     def close(self) -> None:
-        self.edges.unpersist()
         self.graph.close()
 
 
@@ -60,9 +58,8 @@ def make_workload(
     k-hop-reachable batch."""
     pdf = dataset_edges_pdf(name, scale)
     qs = random_queries(pdf, k, n_queries, seed=seed)
-    edges = to_spark(spark, pdf).repartition(max(1, len(pdf) // 50_000 + 1)).cache()
-    graph = load_graph(spark, edges)  # its edge collect fills the cache
-    return Workload(name=name, k=k, edges_pdf=pdf, edges=edges, graph=graph, queries=qs)
+    graph = load_graph(spark, to_spark(spark, pdf))
+    return Workload(name=name, k=k, edges_pdf=pdf, graph=graph, queries=qs)
 
 
 # ---------------------------------------------------------------------------

@@ -61,12 +61,7 @@ def departures_arrivals(
     ``Out_A``. ``out_adj``/``in_adj`` are SPG^u's adjacency, a
     :class:`repro.graphs.model.Graph` and its ``rev``.
     """
-    in_d = _valid_neighbours(out_adj, s, t, k)
-    out_a = _valid_neighbours(in_adj, t, s, k)
-    es = {(u, v) for u, vs in out_adj.items() for v in vs}
-    if not all((s, x) in es and (x, v) in es for v, xs in in_d.items() for x in xs):
-        raise ValueError("In_D lists a vertex without its SPG^u edges")
-    return in_d, out_a
+    return _valid_neighbours(out_adj, s, t, k), _valid_neighbours(in_adj, t, s, k)
 
 
 def _ordered(adj: Adj, radj: Adj, ends: Adj) -> Adj:

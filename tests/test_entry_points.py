@@ -60,7 +60,7 @@ def test_entry_points_import_existing_names():
             ):
                 missing.append(f"{path.relative_to(ROOT)}: {module}.{name}")
     assert not missing
-    assert importers == {p.name for p in ENTRY_POINTS} - {"_common.py"}
+    assert importers == {p.name for p in ENTRY_POINTS}
 
     # perfbench/layers.py swaps these attributes of repro.core.eve while it
     # traces a batch, and perfbench/run.py passes time_phases when tracing.

@@ -174,9 +174,8 @@ SUPERSET = {"khsq", "khsq+"}
 
 
 def _workload(pdf, graph, qs, k):
-    """A workload on an already loaded graph (the runners read only
-    ``graph``, so it carries no edge DataFrame)."""
-    return H.Workload(name="test", k=k, edges_pdf=pdf, edges=None, graph=graph, queries=qs)
+    """A workload on an already loaded graph."""
+    return H.Workload(name="test", k=k, edges_pdf=pdf, graph=graph, queries=qs)
 
 
 def _with_job_count(spark, group, run):
