@@ -17,6 +17,7 @@ The graph must fit in one Python worker; see DESIGN.md "Layering".
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
@@ -42,23 +43,28 @@ DFPin = spark_util.DFPin
 @dataclass
 class EveResult:
     """Output of one EVE query: ``reference_eve``'s edge sets, stored as
-    tuples of the loaded graph's canonical edges, and timings."""
+    ``int32`` positions in the loaded graph's ``edge_list``, and timings."""
 
     s: int
     t: int
     k: int
-    #: E(SPG_k(s,t)); the ``_definite`` tuple itself when the two are equal
-    _spg: Tuple[Edge, ...]
+    #: the loaded graph's canonical edges, which the arrays below index
+    edge_list: Sequence[Edge] = field(repr=False, compare=False)
+    #: E(SPG_k(s,t)); the ``_definite`` array itself when the two are equal
+    _spg: array
     #: definite (label 2) and undetermined (label 1) edges
-    _definite: Tuple[Edge, ...]
-    _undetermined: Tuple[Edge, ...]
+    _definite: array
+    _undetermined: array
     #: wall-clock seconds of this query's phases, one key per phase in
     #: :data:`repro.core.reference.PHASES`
     timings: Dict[str, float] = field(default_factory=dict)
 
-    spg = property(lambda self: frozenset(self._spg), doc="Exact E(SPG_k(s,t)).")
-    definite = property(lambda self: frozenset(self._definite))
-    undetermined = property(lambda self: frozenset(self._undetermined))
+    def _edge_set(self, at: array) -> FrozenSet[Edge]:
+        return frozenset(map(self.edge_list.__getitem__, at))
+
+    spg = property(lambda self: self._edge_set(self._spg), doc="Exact E(SPG_k(s,t)).")
+    definite = property(lambda self: self._edge_set(self._definite))
+    undetermined = property(lambda self: self._edge_set(self._undetermined))
 
     @property
     def upper(self) -> FrozenSet[Edge]:
@@ -107,12 +113,11 @@ def eve_spg_batch(
     # Popping frees each collected answer once its result is built, so the
     # driver never holds the whole batch twice.
     answers.reverse()
-    results = []
+    results, position = [], graph.index.__getitem__
     for s, t in pairs:
-        *edge_sets, timings = answers.pop()
-        spg, definite, undetermined = (
-            tuple([graph.edges[e] for e in es]) for es in edge_sets
-        )
-        spg = definite if len(spg) == len(definite) else spg  # definite ⊆ spg
-        results.append(EveResult(s, t, k, spg, definite, undetermined, timings))
+        spg, definite, undetermined, timings = answers.pop()
+        definite_at = array("i", map(position, definite))
+        spg_at = definite_at if len(spg) == len(definite) else array("i", map(position, spg))
+        results.append(EveResult(s, t, k, graph.edge_list, spg_at, definite_at,
+                                 array("i", map(position, undetermined)), timings))
     return results

@@ -1,10 +1,10 @@
 """EVE for one query in plain Python: the per-query pipeline.
 
-:func:`reference_eve` runs the four phases over a ``Graph`` — bounded
-BFS distances (:func:`repro.graphs.model.bfs_dist`), the closure form of
-Eq. (4) (:func:`ev_tables`), Algorithm 2 (:func:`label_edge`, on the edges
-from a forward EV row to a backward one, the only ones it can label ≥ 1) and
-Algorithm 3 (:func:`repro.core.verify.verify_query`) — and times each. It
+:func:`reference_eve` runs the four phases over a ``Graph`` — the BFS
+distances pruning reads (:func:`pruning_dist`), Eq. (4) pushed or pulled per
+layer (:func:`ev_tables`), Algorithm 2 (:func:`label_edge`, on the only edges
+it can label ≥ 1) and Algorithm 3 (:func:`repro.core.verify.verify_query`,
+if an edge is undetermined) — and times each. It
 is both the engine's kernel, which :func:`repro.core.eve.eve_spg_batch` runs
 once per query inside Spark's Python workers, and a test oracle: hypothesis
 tests check it against the brute-force Definition 2.1 / 3.1 enumerators on
@@ -14,43 +14,63 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Dict, FrozenSet, List, Optional, Set
+from bisect import bisect_right
+from itertools import islice
+from typing import Dict, FrozenSet, Optional, Set
 
 from repro.core.verify import verify_query
-from repro.graphs.model import Adj, Edge, Graph, bfs_dist
+from repro.graphs.model import Edge, Graph, bfs_dist
 
 #: The phases :func:`reference_eve` times, in the order they run.
 PHASES = ("distances", "propagation", "labeling", "verification")
 
 
 def ev_tables(
-    adj: Adj,
+    adj: Graph,
     source: int,
     excluded: int,
     k: int,
     dist_prune: Optional[Dict[int, int]] = None,
 ) -> Dict[int, Dict[int, FrozenSet[int]]]:
-    """EV_l(source, ·) for l = 0..k-1 via the closure form of Eq. (4).
+    """EV_l(source, ·) for l = 0..k-1 by Eq. (4).
 
     Returns ``{l: {v: frozenset}}``; the source row is present at every
     layer. ``dist_prune`` maps each vertex to its distance to the opposite
-    endpoint (forward-looking pruning: keep ``(v, l)`` iff
-    ``l + dist(v) ≤ k``).
+    endpoint, in BFS order (forward-looking pruning: keep ``(v, l)`` iff
+    ``l + dist(v) ≤ k``, a prefix of the map). A pruned layer that keeps no
+    more vertices than the last has rows pulls into them over ``adj.rev``.
     """
+    depths = list(dist_prune.values()) if dist_prune is not None else None
     ev: Dict[int, Dict[int, FrozenSet[int]]] = {0: {source: frozenset({source})}}
     for l in range(1, k):
-        acc: Dict[int, List[FrozenSet[int]]] = {}
-        for x, sx in ev[l - 1].items():
-            for y in adj.get(x, ()):  # noqa: E203
-                if y == source or y == excluded:
-                    continue
-                if dist_prune is not None and l + dist_prune.get(y, math.inf) > k:
-                    continue
-                acc.setdefault(y, []).append(sx | {y})
-        layer = {y: frozenset.intersection(*sets) for y, sets in acc.items()}
+        prev = ev[l - 1]
+        kept = bisect_right(depths, k - l) if depths is not None else math.inf
+        if kept <= len(prev):  # pull: y ← its in-neighbours with a row
+            acc = {y: [prev[x] for x in adj.rev.get(y, ()) if x in prev]
+                   for y in islice(dist_prune, kept)}
+        else:  # push: each row → its out-neighbours that pruning keeps
+            acc = {}
+            for x, sx in prev.items():
+                for y in adj.get(x, ()):
+                    if dist_prune is None or l + dist_prune.get(y, k) <= k:
+                        acc.setdefault(y, []).append(sx)
+        acc.pop(excluded, None)  # the source row is set below
+        # ∩(A_i ∪ {y}) = (∩A_i) ∪ {y}: one union per row, not per edge
+        layer = {y: frozenset.intersection(*sets) | {y} for y, sets in acc.items() if sets}
         layer[source] = frozenset({source})
         ev[l] = layer
     return ev
+
+
+def pruning_dist(adj: Graph, source: int, other: int, k: int) -> Dict[int, int]:
+    """Δ(source, ·) in BFS order, as far as pruning reads it: up to ``k-2``,
+    and ``k-1`` (unmapped, with a mapped in-neighbour) for ``other``'s
+    in-neighbours, the rows of the only layer that tests ``k-1``."""
+    dist = bfs_dist(adj, (source,), k - 2)
+    ahead = [y for y in adj.rev.get(other, ()) if k >= 2 and y not in dist
+             and not dist.keys().isdisjoint(adj.rev.get(y, ()))]
+    dist.update(dict.fromkeys(ahead, k - 1))
+    return dist
 
 
 def label_edge(
@@ -96,28 +116,31 @@ def reference_eve(
     if k < 1:
         raise ValueError(f"hop constraint k must be >= 1, got {k}")
     marks = [time.perf_counter()]
-    dist_s = bfs_dist(adj, (s,), k) if prune else None
-    dist_t = bfs_dist(adj.rev, (t,), k) if prune else None
+    dist_s = pruning_dist(adj, s, t, k) if prune else None
+    dist_t = pruning_dist(adj.rev, t, s, k) if prune else None
     marks.append(time.perf_counter())
     evf = ev_tables(adj, s, t, k, dist_prune=dist_t)
     evb = ev_tables(adj.rev, t, s, k, dist_prune=dist_s)
     marks.append(time.perf_counter())
 
-    # Every clause of Algorithm 2 needs u in a forward table and v in a
-    # backward one (s and t are the layer-0 rows); every other edge fails.
-    heads = {v for layer in evb.values() for v in layer}
+    # Every clause of Algorithm 2 tests u in evf[i] and v in evb[k-1-i]. Rows
+    # are kept on runs of layers, so v in evb[k-1-i] for some i ≥ a(u), u's
+    # first layer, puts v in evb[k-1-a(u)]: only those edges can be ≥ 1.
+    first = {u: l for l in reversed(range(k)) for u in evf[l]}  # u → a(u)
     definite: Set[Edge] = set()
     undetermined: Set[Edge] = set()
-    for u in {u for layer in evf.values() for u in layer}:
-        for v in heads.intersection(adj.get(u, ())):
+    for u, a in first.items():
+        for v in evb[k - 1 - a].keys() & adj.get(u, ()):
             lab = label_edge(u, v, evf, evb, s, t, k)
             if lab == 2:
                 definite.add((u, v))
             elif lab == 1:
                 undetermined.add((u, v))
     marks.append(time.perf_counter())
-    upper = sorted(definite | undetermined)
-    spg = definite | verify_query(upper, sorted(undetermined), s, t, k, order=order)
+    spg = definite  # SPG^u is exact when nothing is undetermined (k ≤ 4)
+    if undetermined:
+        upper = sorted(definite | undetermined)
+        spg = definite | verify_query(upper, sorted(undetermined), s, t, k, order=order)
     marks.append(time.perf_counter())
     timings = {p: b - a for p, a, b in zip(PHASES, marks, marks[1:])}
     return spg, definite, undetermined, timings

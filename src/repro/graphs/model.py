@@ -50,11 +50,12 @@ class Graph(dict):
 
     @cached_property
     def rev(self) -> Graph:
-        """Vertex → its in-neighbours (built without a dedup pass)."""
+        """Vertex → its in-neighbours (no dedup pass); ``g.rev.rev is g``."""
         r = Graph(())
         for u, vs in self.items():
             for v in vs:
                 r.setdefault(v, []).append(u)
+        r.rev = self
         return r
 
 

@@ -72,15 +72,16 @@ def tune_runtime(spark: SparkSession, n_partitions: int = 4) -> None:
 class LoadedGraph:
     """An edge DataFrame collected once, for every batch its caller sends.
 
-    ``graph`` is its :class:`Graph`; ``edges`` maps each distinct edge to one
-    canonical tuple, which results of every batch share. The caller owns the
+    ``graph`` is its :class:`Graph`; ``edge_list`` holds one canonical tuple
+    per distinct edge, and ``index`` maps each edge to its position there, so
+    results of every batch store positions into one list. The caller owns the
     object: :meth:`close` destroys the broadcast, and a later call raises.
     """
 
     def __init__(self, sc: SparkContext, graph: Graph) -> None:
         self.graph, self.closed, self._sc = graph, False, sc
-        pairs = ((u, v) for u, vs in graph.items() for v in vs)
-        self.edges: Dict[Edge, Edge] = {e: e for e in pairs}
+        self.edge_list: List[Edge] = [(u, v) for u, vs in graph.items() for v in vs]
+        self.index: Dict[Edge, int] = {e: i for i, e in enumerate(self.edge_list)}
 
     @cached_property
     def broadcast(self) -> Broadcast:

@@ -8,6 +8,7 @@ The heavy Spark batches are computed once per (graph, k) combo in the
 session-scoped ``eve_cases`` fixture; the tests here fan out per query.
 """
 import os
+from array import array
 from collections import Counter
 
 import pandas as pd
@@ -254,17 +255,19 @@ def test_loaded_graph_engine_contract(spark, fig1_edges, monkeypatch):
 
 
 def test_results_of_two_batches_share_the_loaded_edges(spark, fig1_graph):
-    """Each result stores its edge sets as tuples of the loaded graph's
-    canonical edges, so results of different batches (on the driver or in
-    the workers) hold the very same edge objects."""
+    """Each result stores its edge sets as ``int32`` positions in the loaded
+    graph's ``edge_list``, so results of different batches (on the driver or
+    in the workers) give back the very same canonical edge objects."""
     qs = [(FIG1_IDS["s"], FIG1_IDS["t"]), (FIG1_IDS["a"], FIG1_IDS["t"])]
     first = eve_spg_batch(spark, fig1_graph, qs[:1], 7)
     second = eve_spg_batch(spark, fig1_graph, qs, 7)
     for res in first + second:
+        assert res.edge_list is fig1_graph.edge_list
         for stored in (res._spg, res._definite, res._undetermined):
-            assert type(stored) is tuple
-            assert all(fig1_graph.edges[e] is e for e in stored)
-    assert first[0]._spg and set(map(id, first[0]._spg)) == set(map(id, second[0]._spg))
+            assert type(stored) is array and stored.itemsize == 4
+        for edges in (res.spg, res.definite, res.undetermined):
+            assert all(fig1_graph.edge_list[fig1_graph.index[e]] is e for e in edges)
+    assert first[0].spg and set(map(id, first[0].spg)) == set(map(id, second[0].spg))
 
 
 def test_python_workers_build_the_reverse_once(spark, fig1_edges):

@@ -65,6 +65,34 @@ def test_labeling_skips_edges_outside_the_ev_tables(fig1, monkeypatch):
     assert tails and set(far["src"]).isdisjoint(tails)
 
 
+@pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
+def test_labeling_visits_exactly_the_layer_paired_edges(labeled, prune, monkeypatch):
+    """``label_edge`` runs once on each edge e(u, v) with v a row of backward
+    layer k-1-a(u), a(u) being u's first forward layer, and on no other;
+    Algorithm 2 on the Definition 3.1 tables labels every other edge 0."""
+    adj, qs, _ = labeled
+    for s, t in qs:
+        calls = []
+        monkeypatch.setattr(reference, "label_edge",
+                            lambda *args: calls.append(args) or label_edge(*args))
+        reference_eve(adj, s, t, K, prune=prune)
+        evf, evb = calls[0][2:4]
+        paired = {
+            (u, v)
+            for u in set().union(*evf.values())
+            for v in adj.get(u, ())
+            if v in evb[K - 1 - min(l for l in range(K) if u in evf[l])]
+        }
+        seen = [args[:2] for args in calls]
+        assert len(seen) == len(set(seen)) and set(seen) == paired
+        def_f = _definition_layers(adj, s, t, K)
+        def_b = _definition_layers(adj.rev, t, s, K)
+        for u, vs in adj.items():
+            for v in vs:
+                if (u, v) not in paired:
+                    assert label_edge(u, v, def_f, def_b, s, t, K) == 0, (u, v)
+
+
 @pytest.mark.parametrize("qid", range(N_QUERIES))
 def test_definite_in_truth_and_upper_superset(labeled, qid):
     adj, qs, labels = labeled

@@ -23,6 +23,7 @@ def test_graph_keeps_each_edge_once():
     assert sorted(_edges(g.rev)) == sorted({(v, u) for u, v in _edges(g)})
     assert len(_edges(g.rev)) == len(_edges(g))
     assert g.rev is g.rev
+    assert g.rev.rev is g
 
 
 def test_adjacency_helpers():
@@ -45,14 +46,17 @@ def test_fresh_graph_pickles_without_its_reverse():
 
 def test_graph_pickles_without_its_reverse_after_rev_was_read():
     """A kept graph whose ``rev`` a driver-side query built still broadcasts
-    its dict alone, and the copy builds its own reverse."""
+    its dict alone, and the copy builds its own reverse; so does the
+    reverse, whose own ``rev`` is the graph."""
     g = M.Graph((i, i + 1) for i in range(10_000))
     fresh = pickle.dumps(g, pickle.HIGHEST_PROTOCOL)
-    assert g.rev
+    assert g.rev and g.rev.rev is g
     assert pickle.dumps(g, pickle.HIGHEST_PROTOCOL) == fresh
     back = pickle.loads(fresh)
     assert type(back) is M.Graph and back == g and "rev" not in vars(back)
     assert back.rev == g.rev
+    rback = pickle.loads(pickle.dumps(g.rev, pickle.HIGHEST_PROTOCOL))
+    assert rback == g.rev and "rev" not in vars(rback) and rback.rev == g
 
 
 def test_kernels_share_one_reverse(monkeypatch):

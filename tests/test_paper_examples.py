@@ -6,6 +6,9 @@ Figure 5's essential-vertex tables, Examples 2.2/3.2/4.2/4.5/4.7/5.5/5.7,
 the Lemma 3.3 counterexample, and the Theorem 4.8/4.9 properties — so these
 tests double as evidence that the Figure-1 reconstruction is faithful.
 """
+import pickle
+from array import array
+
 import pytest
 
 from repro.baselines import bruteforce as bf
@@ -189,13 +192,15 @@ def test_example_5_7_verification(fig1, fig1_eve):
 
 @pytest.mark.parametrize("k", [4, 7])
 def test_spg_is_definite_when_they_are_equal(fig1, fig1_eve, k):
-    """At k=4 SPG = SPG^u (Theorem 4.8), so the result stores one tuple for
-    ``spg`` and ``definite``; at k=7 verification adds e(i,j) and e(j,h) to
-    the definite edges, and ``spg`` is still exact."""
+    """At k=4 SPG = SPG^u (Theorem 4.8), so the result stores one array for
+    ``spg`` and ``definite``, also once pickled; at k=7 verification adds
+    e(i,j) and e(j,h) to the definite edges, and ``spg`` is still exact."""
     res = fig1_eve[k]
     assert isinstance(res.spg, frozenset) and isinstance(res.undetermined, frozenset)
-    assert type(res._spg) is tuple and type(res._definite) is tuple
+    assert type(res._spg) is array and type(res._definite) is array
     assert (res._spg is res._definite) == (k == 4)
+    back = pickle.loads(pickle.dumps(res))
+    assert (back._spg is back._definite) == (k == 4) and back.spg == res.spg
     assert res.spg == bf.spg_edges(fig1.adj, V[S], V[T], k)
 
 

@@ -1,17 +1,19 @@
 """Property tests of the pure-Python reference EVE against brute force.
 
 These run without Spark, so hypothesis can hammer the algorithmic core —
-the closure-form propagation, Algorithm-2 labeling and Algorithm-3
-verification — on hundreds of random digraphs.
+Eq. (4) propagation (pushed or pulled), Algorithm-2 labeling and
+Algorithm-3 verification — on hundreds of random digraphs.
 """
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines import bruteforce as bf
-from repro.core.reference import ev_tables, reference_eve
+from repro.core.reference import ev_tables, pruning_dist, reference_eve
+from repro.graphs.datasets import dataset_edges_pdf
 from repro.graphs.generators import random_digraph
 from repro.graphs.model import Graph, adjacency, bfs_dist
+from repro.graphs.queries import random_queries
 
 
 @st.composite
@@ -64,7 +66,7 @@ def test_ordering_never_changes_answers(case):
 @settings(max_examples=60, deadline=None)
 @given(digraph_query())
 def test_ev_tables_match_definition(case):
-    """Closure-form propagation == Definition 3.1 (via brute-force DFS)."""
+    """Unpruned (push-only) propagation == Definition 3.1 (via brute-force DFS)."""
     adj, s, t, k = case
     got = ev_tables(adj, s, t, k)  # unpruned ⇒ every existing entry present
     want = bf.essential_sets(adj, s, t, k)
@@ -74,6 +76,55 @@ def test_ev_tables_match_definition(case):
     }
     for l in range(1, k):
         assert got[l] == want_by_layer[l], f"layer {l}"
+
+
+def _pruned_tables_match_definition(adj, s, t, k):
+    """Assert that both pruned tables, as ``reference_eve`` builds them, equal
+    Definition 3.1 restricted to the entries with ``l + Δ(v, other) ≤ k``;
+    return whether some layer keeps fewer vertices than the previous layer
+    has rows (so it pulls)."""
+    pulled = False
+    for g, src, dst in ((adj, s, t), (adj.rev, t, s)):
+        prune = pruning_dist(g.rev, dst, src, k)
+        got = ev_tables(g, src, dst, k, dist_prune=prune)
+        dist = bfs_dist(g.rev, (dst,), k)
+        want = bf.essential_sets(g, src, dst, k)
+        for l in range(1, k):
+            assert got[l] == {
+                v: per_l[l] for v, per_l in want.items()
+                if l in per_l and (v == src or l + dist.get(v, k) <= k)
+            }, f"layer {l}"
+            pulled |= sum(d <= k - l for d in prune.values()) < len(got[l - 1])
+    return pulled
+
+
+@settings(max_examples=60, deadline=None)
+@given(digraph_query())
+def test_pruned_ev_tables_match_definition(case):
+    """Pushed or pulled, each pruned layer == Definition 3.1 on the entries
+    forward-looking pruning keeps."""
+    _pruned_tables_match_definition(*case)
+
+
+def test_pruned_ev_tables_pull_on_a_dense_graph():
+    """On the ``ye`` test-scale stand-in at k=4 some layer keeps fewer
+    vertices than the previous layer has rows, so it pulls, and still
+    matches the definition."""
+    pdf = dataset_edges_pdf("ye", "test")
+    (s, t), = random_queries(pdf, 4, 1, seed=1)
+    assert _pruned_tables_match_definition(adjacency(pdf), s, t, 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(digraph_query())
+def test_truncated_distances_prune_like_full_bfs(case):
+    """Tables pruned by the (k-2)-deep maps plus their look-ahead equal
+    tables pruned by depth-k BFS, for every k in 1..8, in both directions."""
+    adj, s, t, _ = case
+    for k in range(1, 9):
+        for g, src, dst in ((adj, s, t), (adj.rev, t, s)):
+            assert ev_tables(g, src, dst, k, pruning_dist(g.rev, dst, src, k)) == \
+                ev_tables(g, src, dst, k, bfs_dist(g.rev, (dst,), k)), k
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,9 +1,13 @@
 """The §6.6 redundant ratio of an EVE result."""
+from array import array
+
 from repro.core.eve import EveResult
 
 
 def _res(spg, upper):
-    return EveResult(0, 1, 5, tuple(spg), (), tuple(upper))
+    edges = sorted(upper)
+    spg_at, upper_at = (array("i", map(edges.index, es)) for es in (spg, upper))
+    return EveResult(0, 1, 5, edges, spg_at, array("i"), upper_at)
 
 
 def test_redundant_ratio():
