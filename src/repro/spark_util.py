@@ -4,7 +4,7 @@ Every contender (EVE and the baselines of §6) answers one query on one
 machine, so Spark parallelises over queries. :func:`load_graph` collects the
 edges once; :func:`map_queries` runs a per-query kernel over the items in
 Python workers against its broadcast: one Spark job per call. A one-item
-call runs its kernel on the driver, as a Python-worker job costs about 0.1 s.
+call runs its kernel on the driver, as a Python-worker job costs about 0.07 s.
 
 :class:`DFPin` (lazy ``localCheckpoint`` of an iterative DataFrame) has no
 caller in the program; the benchmark's per-layer tracer subclasses it.
@@ -32,14 +32,17 @@ def ensure_session_env() -> None:
     (which floods captured test output), and puts the directory ``repro``
     was imported from on the Python workers' path, so that a script that
     only extended its own ``sys.path`` (``python jobs/…``) can run
-    ``eve_spg_batch``, whose queries run in Python workers. Safe to call
-    repeatedly; each of the three settings the caller's
+    ``eve_spg_batch``, whose queries run in Python workers. Starts those
+    workers' daemon from :mod:`repro.worker_daemon`, which runs them on the
+    installed ``pyspark`` rather than Spark's zips when it can. Safe to call
+    repeatedly; each of the four settings the caller's
     ``PYSPARK_SUBMIT_ARGS`` already has is left as it is.
     """
     confs = {
         "spark.local.dir": "/dev/shm/spark-local",
         "spark.ui.showConsoleProgress": "false",
         "spark.executorEnv.PYTHONPATH": str(Path(__file__).resolve().parents[1]),
+        "spark.python.daemon.module": "repro.worker_daemon",
     }
     args = os.environ.get(
         "PYSPARK_SUBMIT_ARGS",

@@ -138,3 +138,25 @@ def test_program_imports_run_one_way():
             if any(full == b or full.startswith(b + ".") for b in banned):
                 bad.append(f"{path.relative_to(ROOT)}: {full}")
     assert not bad
+
+
+def test_worker_daemon_imports_only_the_standard_library_and_pyspark():
+    """Spark runs ``python -m repro.worker_daemon`` with its archives first
+    on the path: until the module imports ``pyspark.daemon`` it must import
+    nothing they could supply, and nothing from ``repro``. Python imports
+    ``repro/__init__.py`` first, so that file imports nothing at all."""
+    daemon = SRC / "worker_daemon.py"
+    imported = set()
+    for node in ast.walk(ast.parse(daemon.read_text(), str(daemon))):
+        if isinstance(node, ast.Import):
+            imported.update((alias.name, None) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.update((node.module, alias.name) for alias in node.names)
+    outside = {(module, name) for module, name in imported
+               if module.split(".")[0] not in sys.stdlib_module_names}
+    assert outside == {("pyspark", "daemon")}
+    assert not list(_repro_imports(daemon))
+
+    init = SRC / "__init__.py"
+    assert not [node for node in ast.walk(ast.parse(init.read_text(), str(init)))
+                if isinstance(node, (ast.Import, ast.ImportFrom))]

@@ -1,14 +1,19 @@
-"""Iterative-dataflow helpers and session setup."""
+"""Iterative-dataflow helpers, session setup and the workers' daemon."""
 import ast
 import os
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
+
+import pyspark
+import pytest
 
 from repro import spark_util as su
 from repro.baselines import bruteforce as bf
 from repro.graphs.generators import FIG1_IDS, figure1_graph
 from repro.graphs.model import adjacency
+from repro.worker_daemon import worker_path
 
 # A ``python jobs/…``-style script: repro is importable in the driver only
 # because the script extends its own sys.path.
@@ -62,8 +67,18 @@ def test_ensure_session_env_adds_each_missing_conf(monkeypatch):
     src = Path(su.__file__).resolve().parents[1]
     assert f"spark.executorEnv.PYTHONPATH={src}" in args
     assert "spark.ui.showConsoleProgress=false" in args
+    assert "spark.python.daemon.module=repro.worker_daemon" in args
     assert args.count("spark.local.dir") == 1
     assert args.endswith(" pyspark-shell")
+
+    monkeypatch.setenv(
+        "PYSPARK_SUBMIT_ARGS",
+        "--conf spark.python.daemon.module=pyspark.daemon pyspark-shell",
+    )
+    su.ensure_session_env()
+    args = os.environ["PYSPARK_SUBMIT_ARGS"]
+    assert args.count("spark.python.daemon.module") == 1
+    assert "spark.python.daemon.module=pyspark.daemon" in args
 
 
 def test_python_workers_import_repro_without_pythonpath(tmp_path):
@@ -83,3 +98,73 @@ def test_python_workers_import_repro_without_pythonpath(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr[-3000:]
     assert ast.literal_eval(proc.stdout.strip().splitlines()[-1]) == [sorted(want)] * 2
+
+
+@pytest.mark.skipif(
+    not os.path.isfile(pyspark.__file__),
+    reason="the driver's pyspark is not installed as a directory",
+)
+def test_python_workers_import_pyspark_from_a_directory(spark):
+    """The workers import the installed ``pyspark``, and no zip importer is
+    left for a task's ``importlib.invalidate_caches()`` to reset."""
+
+    def probe(adj, item):
+        import sys
+        import zipimport
+
+        import pyspark
+
+        zips = [entry for entry, finder in sys.path_importer_cache.items()
+                if isinstance(finder, zipimport.zipimporter)]
+        return pyspark.__file__, zips
+
+    for file, zips in su.map_queries(spark, [0, 1], probe):
+        assert os.path.isfile(file), file
+        assert zips == []
+
+
+def _zip(path: Path, files: dict) -> str:
+    with zipfile.ZipFile(path, "w") as z:
+        for name, text in files.items():
+            z.writestr(name, text)
+    return str(path)
+
+
+def _pyspark(version: str) -> dict:
+    return {"pyspark/__init__.py": "",
+            "pyspark/version.py": f"__version__: str = '{version}'\n"}
+
+
+PY4J = {"py4j/__init__.py": ""}
+
+
+@pytest.mark.parametrize(
+    "installed, dropped",
+    [
+        ({}, False),
+        (PY4J, False),
+        ({**_pyspark("4.1.2"), **PY4J}, True),
+        ({**_pyspark("4.1.1"), **PY4J}, False),
+        (_pyspark("4.1.2"), False),
+    ],
+    ids=["no-install", "no-directory-pyspark", "same-version", "other-version", "no-py4j"],
+)
+def test_worker_path_drops_archives_only_for_the_same_pyspark(tmp_path, installed, dropped):
+    """Spark's archives leave the workers' path only when its directories
+    hold ``py4j`` and the ``pyspark`` version of Spark's ``pyspark.zip``;
+    then an archive holding a module no directory has stays, as does an
+    entry that is no file (an interpreter's absent ``python311.zip``)."""
+    site = tmp_path / "site"
+    site.mkdir()
+    for name, text in installed.items():
+        (site / name).parent.mkdir(exist_ok=True)
+        (site / name).write_text(text)
+    archives = [
+        _zip(tmp_path / "pyspark.zip", _pyspark("4.1.2")),
+        _zip(tmp_path / "py4j-src.zip", PY4J),
+        _zip(tmp_path / "spark-core.jar", {"META-INF/MANIFEST.MF": ""}),
+    ]
+    own = _zip(tmp_path / "own.zip", {"own_module.py": ""})
+    path = [*archives, own, str(tmp_path / "absent.zip"), str(site)]
+    want = [own, str(tmp_path / "absent.zip"), str(site)] if dropped else path
+    assert worker_path(path) == want
