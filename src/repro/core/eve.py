@@ -8,12 +8,16 @@ propagation → Algorithm 2 labeling → Algorithm 3 verification — once per
 query, inside Spark's Python workers:
 
 the shared runner :func:`repro.spark_util.map_queries` maps each ``(s, t)``
-pair to its ``reference_eve`` answer on the graph the caller loaded once
+pair to :func:`answer_positions` on the graph the caller loaded once
 (:func:`repro.spark_util.load_graph`) and collects the answers in query
-order. The step uses the RDD API because its input and output are Python
-objects (query pairs, edge sets, phase times), not relations. A batch is
-one Spark job; a one-query batch runs on the driver and starts none.
-The graph must fit in one Python worker; see DESIGN.md "Layering".
+order. That kernel turns ``reference_eve``'s edge sets into ``int32``
+positions in the graph's ``Graph.index``, which every worker builds once
+from its copy of the broadcast and which is the loaded graph's own index on
+the driver; so the answers cross ``collect`` as arrays, and the driver only
+stores them. The step uses the RDD API because its input and output are
+Python objects (query pairs, position arrays, phase times), not relations.
+A batch is one Spark job; a one-query batch runs on the driver and starts
+none. The graph must fit in one Python worker; see DESIGN.md "Layering".
 """
 from __future__ import annotations
 
@@ -26,7 +30,7 @@ from pyspark.sql import SparkSession
 from repro import spark_util
 from repro.core.reference import ev_tables, label_edge, reference_eve
 from repro.core.verify import verify_query
-from repro.graphs.model import Edge, bfs_dist
+from repro.graphs.model import Edge, Graph, bfs_dist
 
 # perfbench/layers.py swaps these five names for tracing wrappers while it
 # traces a batch. ``reference_eve`` never calls these names (in a worker or on
@@ -79,6 +83,18 @@ class EveResult:
         return (len(self.upper) - len(self.spg)) / len(self.spg)
 
 
+def answer_positions(
+    adj: Graph, st: Tuple[int, int], k: int, *, prune: bool = True, order: bool = True
+) -> Tuple[array, array, array, Dict[str, float]]:
+    """``reference_eve(adj, *st, k)`` as ``int32`` positions in ``adj.index``:
+    ``(definite, undetermined, spg − definite, timings)``, the third empty
+    when verification confirmed nothing (always at k ≤ 4)."""
+    spg, definite, undetermined, timings = reference_eve(adj, *st, k, prune=prune, order=order)
+    at = adj.index.__getitem__
+    return (array("i", map(at, definite)), array("i", map(at, undetermined)),
+            array("i", map(at, spg - definite)), timings)
+
+
 def eve_spg_batch(
     spark: SparkSession,
     graph: spark_util.LoadedGraph,
@@ -106,18 +122,11 @@ def eve_spg_batch(
     answers = spark_util.map_queries(
         spark,
         pairs,
-        lambda adj, st: reference_eve(adj, *st, k, prune=prune, order=order),
+        lambda adj, st: answer_positions(adj, st, k, prune=prune, order=order),
         graph,
     )
-
-    # Popping frees each collected answer once its result is built, so the
-    # driver never holds the whole batch twice.
-    answers.reverse()
-    results, position = [], graph.index.__getitem__
-    for s, t in pairs:
-        spg, definite, undetermined, timings = answers.pop()
-        definite_at = array("i", map(position, definite))
-        spg_at = definite_at if len(spg) == len(definite) else array("i", map(position, spg))
-        results.append(EveResult(s, t, k, graph.edge_list, spg_at, definite_at,
-                                 array("i", map(position, undetermined)), timings))
-    return results
+    return [
+        EveResult(s, t, k, graph.edge_list, definite + confirmed if confirmed else definite,
+                  definite, undetermined, timings)
+        for (s, t), (definite, undetermined, confirmed, timings) in zip(pairs, answers)
+    ]

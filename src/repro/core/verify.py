@@ -27,7 +27,7 @@ Components:
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Set, Tuple
+from typing import Collection, Iterable, List, Sequence, Set, Tuple
 
 from repro.graphs.model import Adj, Edge, Graph, bfs_dist
 
@@ -67,15 +67,12 @@ def departures_arrivals(
 def _ordered(adj: Adj, radj: Adj, ends: Adj) -> Adj:
     """``adj`` with each neighbour list sorted by the hop distance along
     ``adj`` to the nearest of ``ends`` (a BFS over ``radj``), larger
-    ``|ends[n]|`` first among the ends themselves."""
-    dist = bfs_dist(radj, ends)
-
-    def key(n: int):
-        d = dist.get(n, math.inf)
-        tie = -len(ends.get(n, ())) if d == 0 else 0
-        return (d, tie, n)
-
-    return {v: sorted(ns, key=key) for v, ns in adj.items()}
+    ``|ends[n]|`` first among the ends themselves. Every neighbour in ``adj``
+    must be a key of ``radj``, as it is when ``radj`` is ``adj``'s reverse."""
+    rank = {n: (math.inf, 0, n) for n in radj}
+    rank.update((n, (d, -len(ends[n]) if d == 0 else 0, n))
+                for n, d in bfs_dist(radj, ends).items())
+    return {v: sorted(ns, key=rank.__getitem__) for v, ns in adj.items()}
 
 
 def search_orders(
@@ -164,8 +161,8 @@ def verify_kernel(
 
 
 def verify_query(
-    spgu_edges: Sequence[Edge],
-    undetermined: Sequence[Edge],
+    spgu_edges: Iterable[Edge],
+    undetermined: Collection[Edge],
     s: int,
     t: int,
     k: int,
@@ -176,7 +173,9 @@ def verify_query(
 
     Builds the query's search structures from SPG^u (departures/arrivals,
     adjacency, §5.3 orders when ``order``), runs :func:`verify_kernel` and
-    keeps the confirmed edges that were undetermined.
+    keeps the confirmed edges that were undetermined. Neither input need be
+    sorted: Algorithm 3 searches each edge exhaustively, so the answer does
+    not depend on the order of edges or neighbours (Theorem 5.6).
     """
     if k < 5 or not undetermined:
         return set()
@@ -186,5 +185,5 @@ def verify_query(
     if order:
         out_adj, in_adj = search_orders(out_adj, in_adj, in_d, out_a)
     found = verify_kernel(out_adj, in_adj, undetermined, in_d, out_a, k, s, t)
-    return found & set(undetermined)
+    return found.intersection(undetermined)
 

@@ -34,10 +34,11 @@ class Graph(dict):
     """Vertex → its out-neighbours, each distinct edge of ``edges`` once, in
     the order of its first occurrence.
 
-    ``rev`` is the reverse graph, built on first use and kept, so the
-    queries that share one graph (one broadcast value in a Python worker)
-    build it once. A ``Graph`` pickles as its dict alone, even once ``rev``
-    was read. Do not add edges to a ``Graph`` whose ``rev`` has been read.
+    ``rev`` (the reverse graph) and ``index`` (each edge's position) are
+    built on first use and kept, so the queries that share one graph (one
+    broadcast value in a Python worker) build them once. A ``Graph`` pickles
+    as its dict alone, even once they were read. Do not add edges to a
+    ``Graph`` whose ``rev`` or ``index`` has been read.
     """
 
     def __init__(self, edges: Iterable[Edge]) -> None:
@@ -57,6 +58,13 @@ class Graph(dict):
                 r.setdefault(v, []).append(u)
         r.rev = self
         return r
+
+    @cached_property
+    def index(self) -> Dict[Edge, int]:
+        """Edge → its position in ``items()`` order; the keys, in order, are
+        the edge list that positions index."""
+        edges = ((u, v) for u, vs in self.items() for v in vs)
+        return {e: i for i, e in enumerate(edges)}
 
 
 def adjacency(edges_pdf: pd.DataFrame) -> Graph:

@@ -75,16 +75,18 @@ def tune_runtime(spark: SparkSession, n_partitions: int = 4) -> None:
 class LoadedGraph:
     """An edge DataFrame collected once, for every batch its caller sends.
 
-    ``graph`` is its :class:`Graph`; ``edge_list`` holds one canonical tuple
-    per distinct edge, and ``index`` maps each edge to its position there, so
-    results of every batch store positions into one list. The caller owns the
+    ``graph`` is its :class:`Graph`; ``index`` is ``graph.index`` (each
+    edge → its position in ``items()`` order), and ``edge_list`` holds its
+    keys, one canonical tuple per distinct edge, in that order. A Python
+    worker builds the same index from its copy of the broadcast, so results
+    of every batch store positions into one list. The caller owns the
     object: :meth:`close` destroys the broadcast, and a later call raises.
     """
 
     def __init__(self, sc: SparkContext, graph: Graph) -> None:
         self.graph, self.closed, self._sc = graph, False, sc
-        self.edge_list: List[Edge] = [(u, v) for u, vs in graph.items() for v in vs]
-        self.index: Dict[Edge, int] = {e: i for i, e in enumerate(self.edge_list)}
+        self.index: Dict[Edge, int] = graph.index
+        self.edge_list: List[Edge] = list(self.index)
 
     @cached_property
     def broadcast(self) -> Broadcast:
@@ -115,10 +117,13 @@ def map_queries(
     the answers come back in the items' order.
 
     ``adj`` is ``graph.graph``: a Python worker unpickles its broadcast once
-    and keeps it, so it builds ``adj.rev`` once. Without ``graph`` it is ``None``
-    (each item carries its own graph). The items are spread over
-    ``min(len(items), defaultParallelism)`` partitions in one Spark job; an
-    empty call starts none, and one item runs on the driver.
+    and keeps it, so it builds ``adj.rev`` and ``adj.index`` once, and
+    positions in ``adj.index`` are positions in ``graph.edge_list`` on either
+    side. Without ``graph`` it is ``None`` (each item carries its own graph).
+    The items are spread over ``min(len(items), defaultParallelism)``
+    partitions in one Spark job; an empty call starts none, and one item runs
+    on the driver. The answers come back pickled through ``collect``, which
+    the driver unpickles serially: their size is part of the job's cost.
     """
     if graph is not None and graph.closed:
         raise ValueError("the graph was closed")

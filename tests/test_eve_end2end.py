@@ -273,18 +273,40 @@ def test_results_of_two_batches_share_the_loaded_edges(spark, fig1_graph):
 def test_python_workers_build_the_reverse_once(spark, fig1_edges):
     """A Python worker unpickles the loaded graph's broadcast once and keeps
     it across tasks and calls, so over two Q ≥ 2 calls each worker builds
-    ``rev`` once."""
+    ``rev`` and ``index`` once."""
     def kernel(adj, _):
-        built = "rev" not in vars(adj)
-        adj.rev  # built here on first use
+        built = tuple(name not in vars(adj) for name in ("rev", "index"))
+        adj.rev, adj.index  # built here on first use
         return os.getpid(), built
 
     graph = load_graph(spark, fig1_edges)
     n = 2 * spark.sparkContext.defaultParallelism
     answers = [a for _ in range(2) for a in map_queries(spark, range(n), kernel, graph)]
     graph.close()
-    builds = Counter(pid for pid, built in answers if built)
-    assert builds and max(builds.values()) == 1
+    for i, name in enumerate(("rev", "index")):
+        builds = Counter(pid for pid, built in answers if built[i])
+        assert builds and max(builds.values()) == 1, name
+
+
+def test_worker_positions_index_the_loaded_edge_list(spark, plumbing_graph):
+    """One index: a Q ≥ 2 batch, answered in the workers on a graph whose
+    rows arrive unsorted and with duplicates, stores positions that give the
+    edge sets of the same queries sent one at a time (answered on the
+    driver) and of ``reference_eve``."""
+    pdf = plumbing_graph[0].sample(frac=1, random_state=3)
+    assert pdf.duplicated().any() and not pdf["src"].is_monotonic_increasing
+    graph = load_graph(spark, spark.createDataFrame(pdf))
+    adj, k = adjacency(pdf), 6
+    qs = random_queries(pdf, k, 2 * spark.sparkContext.defaultParallelism, seed=6)
+    batch = eve_spg_batch(spark, graph, qs, k)
+    alone = [eve_spg_batch(spark, graph, [q], k)[0] for q in qs]
+    graph.close()
+    assert graph.index is graph.graph.index and graph.edge_list == list(graph.index)
+    assert any(res._spg is not res._definite for res in batch)
+    for (s, t), res, one in zip(qs, batch, alone):
+        want = reference_eve(adj, s, t, k)[:3]
+        assert (res.spg, res.definite, res.undetermined) == want, (s, t)
+        assert (one.spg, one.definite, one.undetermined) == want, (s, t)
 
 
 # ---------------------------------------------------------------------------

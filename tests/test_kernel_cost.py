@@ -1,4 +1,5 @@
-"""A deterministic cost guard for the EVE kernel: operation counts, not time.
+"""Deterministic cost guards for the EVE kernel: operation counts and
+bytes, not time.
 
 Five seeded ``ye`` bench-scale k=4 queries go through ``reference_eve`` on a
 graph that counts the adjacency entries it hands out. Each query must make
@@ -6,10 +7,18 @@ at most half the ``label_edge`` calls, and read at most half the entries,
 of the kernel that ran both BFSes to depth k, pushed every propagation layer
 and labeled every edge from a forward EV row to a backward one (the counts
 below).
+
+Sixteen seeded ``tw`` bench-scale k=6 queries go through the kernel that
+``eve_spg_batch`` runs in the Python workers. Their answers, pickled as
+``collect`` pickles them, must take at most 60% of the bytes of the same
+answers as ``reference_eve``'s sets of ``(u, v)`` tuples.
 """
+import pickle
+
 import pytest
 
 from repro.core import reference
+from repro.core.eve import answer_positions
 from repro.graphs.datasets import dataset_edges_pdf
 from repro.graphs.model import Graph, adjacency
 from repro.graphs.queries import random_queries
@@ -51,3 +60,17 @@ def test_kernel_reads_at_most_half_of_the_full_kernel(ye_bench, i, monkeypatch):
     reference.reference_eve(g, *queries[i], K)
     assert 0 < len(calls) <= FULL_LABEL_CALLS[i] / 2
     assert 0 < CountingGraph.read <= FULL_ENTRIES_READ[i] / 2
+
+
+def test_answers_cross_collect_as_positions():
+    pdf = dataset_edges_pdf("tw", "bench")
+    g = adjacency(pdf)
+    queries = random_queries(pdf, 6, 16, seed=1)
+    positions = [answer_positions(g, st, 6) for st in queries]
+    edge_sets = [reference.reference_eve(g, *st, 6) for st in queries]
+    edges = list(g.index)
+    for at, (spg, definite, undetermined, _) in zip(positions, edge_sets):
+        got = [{edges[i] for i in part} for part in at[:3]]
+        assert got == [definite, undetermined, spg - definite]
+    size = [len(pickle.dumps(a, pickle.HIGHEST_PROTOCOL)) for a in (positions, edge_sets)]
+    assert size[0] <= 0.6 * size[1], size

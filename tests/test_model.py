@@ -59,6 +59,27 @@ def test_graph_pickles_without_its_reverse_after_rev_was_read():
     assert rback == g.rev and "rev" not in vars(rback) and rback.rev == g
 
 
+def test_index_enumerates_items_order():
+    """``index`` maps each distinct edge to its position in ``items()``
+    order, and is built once."""
+    g = M.Graph([(0, 2), (0, 1), (2, 2), (0, 2), (1, 2), (2, 2)])
+    assert list(g.index.items()) == [((0, 2), 0), ((0, 1), 1), ((2, 2), 2), ((1, 2), 3)]
+    assert list(g.index) == _edges(g)
+    assert g.index is g.index
+
+
+def test_index_is_rebuilt_the_same_after_a_pickle_round_trip():
+    """Once ``rev`` and ``index`` were read, the graph still pickles as its
+    dict alone, and the copy builds the same positions."""
+    g = M.adjacency(random_digraph("er", 60, 3, seed=4).sample(frac=1, random_state=1))
+    fresh = pickle.dumps(g, pickle.HIGHEST_PROTOCOL)
+    assert g.rev and g.index
+    assert pickle.dumps(g, pickle.HIGHEST_PROTOCOL) == fresh
+    back = pickle.loads(fresh)
+    assert "index" not in vars(back) and "rev" not in vars(back)
+    assert list(back.index.items()) == list(g.index.items())
+
+
 def test_kernels_share_one_reverse(monkeypatch):
     """EVE, KHSQ and JOIN on several queries of one graph build its reverse
     once."""

@@ -11,8 +11,10 @@ from repro.core.verify import (
     verify_kernel,
     verify_query,
 )
+from repro.graphs.datasets import dataset_edges_pdf
 from repro.graphs.generators import random_digraph
 from repro.graphs.model import Graph, adjacency
+from repro.graphs.queries import random_queries
 
 
 def _upper_parts(adj, s, t, k):
@@ -101,6 +103,35 @@ def test_search_orders_sort_keys():
     o_out, _ = search_orders(out_adj, in_adj, in_d, out_a)
     # From 0: both 1 and 2 reachable; 2 is an arrival (dist 0) → first.
     assert o_out[0] == [2, 1]
+
+
+@pytest.fixture(scope="module")
+def tw_bench_k6():
+    """Four seeded ``tw`` bench-scale k=6 queries, each with undetermined
+    edges, and their SPG^u parts."""
+    pdf = dataset_edges_pdf("tw", "bench")
+    adj = adjacency(pdf)
+    cases = [(s, t, *_upper_parts(adj, s, t, 6)) for s, t in random_queries(pdf, 6, 4, seed=3)]
+    assert all(undet for *_, undet, _ in cases)
+    return adj, cases
+
+
+def test_search_order_does_not_change_the_spg(tw_bench_k6):
+    """The §5.3 orders only reorder Algorithm 3's exhaustive search."""
+    adj, cases = tw_bench_k6
+    for s, t, spg, *_ in cases:
+        assert reference_eve(adj, s, t, 6, order=False)[0] == spg, (s, t)
+
+
+def test_search_orders_permute_each_neighbour_list(tw_bench_k6):
+    _, cases = tw_bench_k6
+    for s, t, _, upper, _, _ in cases:
+        out_adj = Graph(upper)
+        in_adj = out_adj.rev
+        in_d, out_a = departures_arrivals(out_adj, in_adj, s, t, 6)
+        for plain, ordered in zip((out_adj, in_adj), search_orders(out_adj, in_adj, in_d, out_a)):
+            assert ordered.keys() == plain.keys()
+            assert all(sorted(ordered[v]) == sorted(ns) for v, ns in plain.items()), (s, t)
 
 
 def test_kernel_k5_needs_no_expansion():
