@@ -27,7 +27,9 @@ from repro.graphs.datasets import dataset_edges_pdf
 from repro.graphs.generators import to_spark
 from repro.graphs.model import Edge, Graph
 from repro.graphs.queries import random_queries
-from repro.spark_util import LoadedGraph, load_graph, map_queries, tune_runtime
+from repro.spark_util import (
+    LoadedGraph, ensure_session_env, load_graph, map_queries, tune_runtime,
+)
 
 
 @dataclass
@@ -187,8 +189,6 @@ def fmt_markdown_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
 def make_session(app: str, n_partitions: int = 4) -> SparkSession:
     """Session for the ``jobs/`` entry points, the benchmark and the test
     suite's ``spark`` fixture."""
-    from repro.spark_util import ensure_session_env
-
     ensure_session_env()
     spark = (
         SparkSession.builder.appName(app)

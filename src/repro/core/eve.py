@@ -3,21 +3,21 @@
 EVE answers one query on one machine in ``O(k²|E|)`` (§3–§4), and the
 paper's protocol is a batch of independent random queries (§6.1). So
 ``eve_spg_batch`` runs the per-query pipeline of
-:func:`repro.core.reference.reference_eve` — BFS distances → Eq. (4)
+:func:`repro.core.reference.eve_positions` — BFS distances → Eq. (4)
 propagation → Algorithm 2 labeling → Algorithm 3 verification — once per
 query, inside Spark's Python workers:
 
 the shared runner :func:`repro.spark_util.map_queries` maps each ``(s, t)``
 pair to :func:`answer_positions` on the graph the caller loaded once
 (:func:`repro.spark_util.load_graph`) and collects the answers in query
-order. That kernel turns ``reference_eve``'s edge sets into ``int32``
-positions in the graph's ``Graph.index``, which every worker builds once
-from its copy of the broadcast and which is the loaded graph's own index on
-the driver; so the answers cross ``collect`` as arrays, and the driver only
-stores them. The step uses the RDD API because its input and output are
-Python objects (query pairs, position arrays, phase times), not relations.
-A batch is one Spark job; a one-query batch runs on the driver and starts
-none. The graph must fit in one Python worker; see DESIGN.md "Layering".
+order. Labeling gives edge ``(u, adj[u][i])`` the number ``off[u] + i``
+(``Graph.off``, which every worker builds once from its broadcast copy), so
+the answers cross ``collect`` as ``int32`` positions in the loaded graph's
+``edge_list``, and the driver only stores them. The step uses the RDD API
+because its input and output are Python objects (query pairs, position
+arrays, phase times), not relations. A batch is one Spark job; a one-query
+batch runs on the driver and starts none. The graph must fit in one Python
+worker; see DESIGN.md "Layering".
 """
 from __future__ import annotations
 
@@ -28,12 +28,12 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 from pyspark.sql import SparkSession
 
 from repro import spark_util
-from repro.core.reference import ev_tables, label_edge, reference_eve
+from repro.core.reference import ev_tables, eve_positions, label_edge
 from repro.core.verify import verify_query
 from repro.graphs.model import Edge, Graph, bfs_dist
 
 # perfbench/layers.py swaps these five names for tracing wrappers while it
-# traces a batch. ``reference_eve`` never calls these names (in a worker or on
+# traces a batch. ``eve_positions`` never calls these names (in a worker or on
 # the driver), so its per-phase counts read 0. Each name is bound to the
 # function that now does its phase. The benchmark change of ROADMAP item 1
 # reads the trace from ``EveResult`` instead and removes this block.
@@ -46,8 +46,8 @@ DFPin = spark_util.DFPin
 
 @dataclass
 class EveResult:
-    """Output of one EVE query: ``reference_eve``'s edge sets, stored as
-    ``int32`` positions in the loaded graph's ``edge_list``, and timings."""
+    """Output of one EVE query: its edge sets, stored as ``int32`` positions
+    in the loaded graph's ``edge_list``, and timings."""
 
     s: int
     t: int
@@ -77,22 +77,20 @@ class EveResult:
 
     @property
     def redundant_ratio(self) -> float:
-        """r_D = (|E(SPG^u)| − |E(SPG)|) / |E(SPG)| (§6.6); 0 when SPG is empty."""
-        if not self.spg:
-            return 0.0
-        return (len(self.upper) - len(self.spg)) / len(self.spg)
+        """r_D = (|E(SPG^u)| − |E(SPG)|) / |E(SPG)| (§6.6); 0 when SPG is empty.
+        Labels 2 and 1 are disjoint: ``|E(SPG^u)|`` is a sum of lengths."""
+        spg, upper = len(self._spg), len(self._definite) + len(self._undetermined)
+        return (upper - spg) / spg if spg else 0.0
 
 
 def answer_positions(
     adj: Graph, st: Tuple[int, int], k: int, *, prune: bool = True, order: bool = True
 ) -> Tuple[array, array, array, Dict[str, float]]:
-    """``reference_eve(adj, *st, k)`` as ``int32`` positions in ``adj.index``:
+    """``eve_positions(adj, *st, k)`` as ``int32`` arrays of positions:
     ``(definite, undetermined, spg − definite, timings)``, the third empty
     when verification confirmed nothing (always at k ≤ 4)."""
-    spg, definite, undetermined, timings = reference_eve(adj, *st, k, prune=prune, order=order)
-    at = adj.index.__getitem__
-    return (array("i", map(at, definite)), array("i", map(at, undetermined)),
-            array("i", map(at, spg - definite)), timings)
+    *labels, timings = eve_positions(adj, *st, k, prune=prune, order=order)
+    return (*(array("i", at.values()) for at in labels), timings)
 
 
 def eve_spg_batch(

@@ -1,14 +1,14 @@
 """EVE for one query in plain Python: the per-query pipeline.
 
-:func:`reference_eve` runs the four phases over a ``Graph`` — the BFS
+:func:`eve_positions` runs the four phases over a ``Graph`` — the BFS
 distances pruning reads (:func:`pruning_dist`), Eq. (4) pushed or pulled per
 layer (:func:`ev_tables`), Algorithm 2 (:func:`label_edge`, on the only edges
 it can label ≥ 1) and Algorithm 3 (:func:`repro.core.verify.verify_query`,
-if an edge is undetermined) — and times each. It
-is both the engine's kernel, which :func:`repro.core.eve.eve_spg_batch` runs
-once per query inside Spark's Python workers, and a test oracle: hypothesis
-tests check it against the brute-force Definition 2.1 / 3.1 enumerators on
-hundreds of random graphs without Spark.
+if an edge is undetermined), times each and numbers each labeled edge by
+its position (``Graph.off``). It is the kernel that
+:func:`repro.core.eve.eve_spg_batch` runs once per query in Spark's Python
+workers. :func:`reference_eve`, its edge sets, is a test oracle: hypothesis
+tests check it against the brute-force Definition 2.1 / 3.1 enumerators.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import math
 import time
 from bisect import bisect_right
 from itertools import chain, islice
-from typing import Dict, FrozenSet, Optional, Set
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.core.verify import verify_query
 from repro.graphs.model import Edge, Graph, bfs_dist
@@ -98,21 +98,13 @@ def label_edge(
     return 0
 
 
-def reference_eve(
-    adj: Graph,
-    s: int,
-    t: int,
-    k: int,
-    *,
-    prune: bool = True,
-    order: bool = True,
-):
-    """Full EVE for one query.
-
-    Returns ``(spg, definite, undetermined, timings)``: the three edge sets
-    and ``{phase: wall seconds}`` for every phase in :data:`PHASES`. The
-    upper-bound graph SPG^u is ``definite | undetermined``.
-    """
+def eve_positions(
+    adj: Graph, s: int, t: int, k: int, *, prune: bool = True, order: bool = True
+) -> Tuple[Dict[Edge, int], Dict[Edge, int], Dict[Edge, int], Dict[str, float]]:
+    """Full EVE for one query: ``(definite, undetermined, confirmed,
+    timings)``, the label 2, label 1 and verified label 1 edges, each as
+    ``{(u, adj[u][i]): adj.off[u] + i}``, and ``{phase: wall seconds}`` for
+    every phase in :data:`PHASES`. SPG is ``definite ∪ confirmed``."""
     if k < 1:
         raise ValueError(f"hop constraint k must be >= 1, got {k}")
     marks = [time.perf_counter()]
@@ -127,20 +119,26 @@ def reference_eve(
     # are kept on runs of layers, so v in evb[k-1-i] for some i ≥ a(u), u's
     # first layer, puts v in evb[k-1-a(u)]: only those edges can be ≥ 1.
     first = {u: l for l in reversed(range(k)) for u in evf[l]}  # u → a(u)
-    definite: Set[Edge] = set()
-    undetermined: Set[Edge] = set()
+    definite: Dict[Edge, int] = {}
+    undetermined: Dict[Edge, int] = {}
     for u, a in first.items():
-        for v in evb[k - 1 - a].keys() & adj.get(u, ()):
-            lab = label_edge(u, v, evf, evb, s, t, k)
-            if lab == 2:
-                definite.add((u, v))
-            elif lab == 1:
-                undetermined.add((u, v))
+        row = evb[k - 1 - a]
+        for at, v in enumerate(adj.get(u, ()), adj.off.get(u, 0)):  # off[u] + i
+            if v in row:
+                lab = label_edge(u, v, evf, evb, s, t, k)
+                if lab:
+                    (definite if lab == 2 else undetermined)[u, v] = at
     marks.append(time.perf_counter())
-    spg = definite  # SPG^u is exact when nothing is undetermined (k ≤ 4)
-    if undetermined:
-        spg = definite | verify_query(chain(definite, undetermined), undetermined,
-                                      s, t, k, order=order)
+    found = verify_query(chain(definite, undetermined), undetermined, s, t, k, order=order)
+    confirmed = {e: undetermined[e] for e in found}  # none at k ≤ 4 (Theorem 4.8)
     marks.append(time.perf_counter())
     timings = {p: b - a for p, a, b in zip(PHASES, marks, marks[1:])}
-    return spg, definite, undetermined, timings
+    return definite, undetermined, confirmed, timings
+
+
+def reference_eve(adj: Graph, s: int, t: int, k: int, **options: bool):
+    """:func:`eve_positions` (same ``prune`` and ``order``) as edge sets:
+    ``(spg, definite, undetermined, timings)``; SPG^u is
+    ``definite | undetermined``."""
+    definite, undetermined, confirmed, timings = eve_positions(adj, s, t, k, **options)
+    return set(definite).union(confirmed), set(definite), set(undetermined), timings

@@ -10,14 +10,16 @@ failing automatically.
 This module is the only one that knows the in-memory format. EVE, the
 baselines and the pure-Python oracles read the graph as a :class:`Graph`
 (:func:`adjacency` builds it from the collected edge list), search it
-backwards through its cached reverse ``Graph.rev``, and take every hop
-distance from :func:`bfs_dist` (or, for a search that picks its side each
-level, from :func:`expand`, the level step it is built on).
+backwards through its cached reverse ``Graph.rev``, number its edges by
+``Graph.off``, and take every hop distance from :func:`bfs_dist` (or, for a
+search that picks its side each level, from :func:`expand`, the level step
+it is built on).
 """
 from __future__ import annotations
 
 import math
 from functools import cached_property
+from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import pandas as pd
@@ -34,11 +36,12 @@ class Graph(dict):
     """Vertex → its out-neighbours, each distinct edge of ``edges`` once, in
     the order of its first occurrence.
 
-    ``rev`` (the reverse graph) and ``index`` (each edge's position) are
-    built on first use and kept, so the queries that share one graph (one
-    broadcast value in a Python worker) build them once. A ``Graph`` pickles
-    as its dict alone, even once they were read. Do not add edges to a
-    ``Graph`` whose ``rev`` or ``index`` has been read.
+    An edge's position in ``items()`` order is its number: ``(u, g[u][i])``
+    is edge ``g.off[u] + i`` of :meth:`edge_list`. ``rev`` (the reverse
+    graph) and ``off`` are built on first use and kept, so the queries that
+    share one graph (one broadcast value in a Python worker) build them
+    once. A ``Graph`` pickles as its dict alone, even once they were read.
+    Do not add edges to a ``Graph`` whose ``rev`` or ``off`` has been read.
     """
 
     def __init__(self, edges: Iterable[Edge]) -> None:
@@ -60,11 +63,13 @@ class Graph(dict):
         return r
 
     @cached_property
-    def index(self) -> Dict[Edge, int]:
-        """Edge → its position in ``items()`` order; the keys, in order, are
-        the edge list that positions index."""
-        edges = ((u, v) for u, vs in self.items() for v in vs)
-        return {e: i for i, e in enumerate(edges)}
+    def off(self) -> Dict[int, int]:
+        """Vertex → the position of its first out-edge in ``items()`` order."""
+        return dict(zip(self, accumulate(map(len, self.values()), initial=0)))
+
+    def edge_list(self) -> List[Edge]:
+        """Every edge, at its position: ``(u, v)`` is ``off[u] + self[u].index(v)``."""
+        return [(u, v) for u, vs in self.items() for v in vs]
 
 
 def adjacency(edges_pdf: pd.DataFrame) -> Graph:

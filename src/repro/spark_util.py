@@ -15,7 +15,7 @@ import os
 import shlex
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 from pyspark import Broadcast, SparkContext
 from pyspark.sql import DataFrame, SparkSession
@@ -75,18 +75,16 @@ def tune_runtime(spark: SparkSession, n_partitions: int = 4) -> None:
 class LoadedGraph:
     """An edge DataFrame collected once, for every batch its caller sends.
 
-    ``graph`` is its :class:`Graph`; ``index`` is ``graph.index`` (each
-    edge → its position in ``items()`` order), and ``edge_list`` holds its
-    keys, one canonical tuple per distinct edge, in that order. A Python
-    worker builds the same index from its copy of the broadcast, so results
+    ``graph`` is its :class:`Graph`; ``edge_list`` is ``graph.edge_list()``,
+    one canonical tuple per distinct edge, at its position. A Python worker
+    numbers the edges of its copy of the broadcast the same way, so results
     of every batch store positions into one list. The caller owns the
     object: :meth:`close` destroys the broadcast, and a later call raises.
     """
 
     def __init__(self, sc: SparkContext, graph: Graph) -> None:
         self.graph, self.closed, self._sc = graph, False, sc
-        self.index: Dict[Edge, int] = graph.index
-        self.edge_list: List[Edge] = list(self.index)
+        self.edge_list: List[Edge] = graph.edge_list()
 
     @cached_property
     def broadcast(self) -> Broadcast:
@@ -117,9 +115,10 @@ def map_queries(
     the answers come back in the items' order.
 
     ``adj`` is ``graph.graph``: a Python worker unpickles its broadcast once
-    and keeps it, so it builds ``adj.rev`` and ``adj.index`` once, and
-    positions in ``adj.index`` are positions in ``graph.edge_list`` on either
-    side. Without ``graph`` it is ``None`` (each item carries its own graph).
+    and keeps it, so it builds ``adj.rev`` and ``adj.off`` once, and
+    position ``adj.off[u] + i`` is edge ``(u, adj[u][i])`` of
+    ``graph.edge_list`` on either side. Without ``graph`` it is ``None``
+    (each item carries its own graph).
     The items are spread over ``min(len(items), defaultParallelism)``
     partitions in one Spark job; an empty call starts none, and one item runs
     on the driver. The answers come back pickled through ``collect``, which

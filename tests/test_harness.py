@@ -18,7 +18,7 @@ def workload(spark):
 def test_make_workload(workload):
     assert workload.k == 4
     assert len(workload.queries) == 4
-    assert len(workload.graph.edge_list) == len(workload.graph.index) == len(workload.edges_pdf)
+    assert len(workload.graph.edge_list) == len(workload.edges_pdf)
 
 
 def test_replaced_workload_keeps_its_loaded_graph(spark, workload):

@@ -68,7 +68,7 @@ def test_answers_cross_collect_as_positions():
     queries = random_queries(pdf, 6, 16, seed=1)
     positions = [answer_positions(g, st, 6) for st in queries]
     edge_sets = [reference.reference_eve(g, *st, 6) for st in queries]
-    edges = list(g.index)
+    edges = g.edge_list()
     for at, (spg, definite, undetermined, _) in zip(positions, edge_sets):
         got = [{edges[i] for i in part} for part in at[:3]]
         assert got == [definite, undetermined, spg - definite]

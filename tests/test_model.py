@@ -9,6 +9,7 @@ from repro.core.reference import reference_eve
 from repro.graphs import model as M
 from repro.graphs.generators import random_digraph, to_spark
 from repro.graphs.queries import random_queries
+from repro.spark_util import load_graph
 
 
 def _edges(adj):
@@ -59,25 +60,43 @@ def test_graph_pickles_without_its_reverse_after_rev_was_read():
     assert rback == g.rev and "rev" not in vars(rback) and rback.rev == g
 
 
-def test_index_enumerates_items_order():
-    """``index`` maps each distinct edge to its position in ``items()``
-    order, and is built once."""
+def test_off_numbers_edges_in_items_order():
+    """``off`` maps each vertex with out-edges to the position of its first
+    one in ``items()`` order, and is built once; ``edge_list`` lists each
+    distinct edge once, at its position."""
     g = M.Graph([(0, 2), (0, 1), (2, 2), (0, 2), (1, 2), (2, 2)])
-    assert list(g.index.items()) == [((0, 2), 0), ((0, 1), 1), ((2, 2), 2), ((1, 2), 3)]
-    assert list(g.index) == _edges(g)
-    assert g.index is g.index
+    assert list(g.off.items()) == [(0, 0), (2, 2), (1, 3)]
+    assert g.edge_list() == [(0, 2), (0, 1), (2, 2), (1, 2)] == _edges(g)
+    assert g.off is g.off
 
 
-def test_index_is_rebuilt_the_same_after_a_pickle_round_trip():
-    """Once ``rev`` and ``index`` were read, the graph still pickles as its
+def test_off_indexes_the_driver_edge_list(spark):
+    """On unsorted rows with duplicates and self-loops, every edge
+    ``(u, adj[u][i])`` sits at position ``off[u] + i`` of the loaded graph's
+    edge list, which holds each distinct edge once."""
+    pdf = random_digraph("er", 60, 3, seed=4)
+    loops = pd.DataFrame({"src": pdf["src"].iloc[:4], "dst": pdf["src"].iloc[:4]})
+    pdf = pd.concat([pdf, pdf.iloc[:7], loops]).sample(frac=1, random_state=1)
+    assert pdf.duplicated().any() and not pdf["src"].is_monotonic_increasing
+    graph = load_graph(spark, to_spark(spark, pdf))
+    adj, edges = graph.graph, graph.edge_list
+    graph.close()
+    assert len(edges) == len(set(edges)) == len(pdf.drop_duplicates())
+    assert sorted(edges) == sorted(map(tuple, pdf.drop_duplicates().to_numpy().tolist()))
+    assert all(edges[adj.off[u] + i] == (u, v) for u, vs in adj.items() for i, v in enumerate(vs))
+
+
+def test_off_is_rebuilt_the_same_after_a_pickle_round_trip():
+    """Once ``rev`` and ``off`` were read, the graph still pickles as its
     dict alone, and the copy builds the same positions."""
     g = M.adjacency(random_digraph("er", 60, 3, seed=4).sample(frac=1, random_state=1))
     fresh = pickle.dumps(g, pickle.HIGHEST_PROTOCOL)
-    assert g.rev and g.index
+    assert g.rev and g.off
     assert pickle.dumps(g, pickle.HIGHEST_PROTOCOL) == fresh
     back = pickle.loads(fresh)
-    assert "index" not in vars(back) and "rev" not in vars(back)
-    assert list(back.index.items()) == list(g.index.items())
+    assert "off" not in vars(back) and "rev" not in vars(back)
+    assert list(back.off.items()) == list(g.off.items())
+    assert back.edge_list() == g.edge_list()
 
 
 def test_kernels_share_one_reverse(monkeypatch):
