@@ -67,7 +67,7 @@ def make_workload(
 # ---------------------------------------------------------------------------
 # Timed runners. Each answers every query of the workload through
 # ``map_queries`` (one Spark job; none for a single query, which runs on the
-# driver to skip a Python-worker job's ~0.07 s) and returns (answers, seconds).
+# driver to skip a Python-worker job's ~0.05 s) and returns (answers, seconds).
 # ---------------------------------------------------------------------------
 
 def _per_query(

@@ -4,7 +4,7 @@ Every contender (EVE and the baselines of §6) answers one query on one
 machine, so Spark parallelises over queries. :func:`load_graph` collects the
 edges once; :func:`map_queries` runs a per-query kernel over the items in
 Python workers against its broadcast: one Spark job per call. A one-item
-call runs its kernel on the driver, as a Python-worker job costs about 0.07 s.
+call runs its kernel on the driver, as a Python-worker job costs about 0.05 s.
 
 :class:`DFPin` (lazy ``localCheckpoint`` of an iterative DataFrame) has no
 caller in the program; the benchmark's per-layer tracer subclasses it.
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 import shlex
+import tempfile
 from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, List, Optional, Sequence
@@ -34,9 +35,14 @@ def ensure_session_env() -> None:
     only extended its own ``sys.path`` (``python jobs/…``) can run
     ``eve_spg_batch``, whose queries run in Python workers. Starts those
     workers' daemon from :mod:`repro.worker_daemon`, which runs them on the
-    installed ``pyspark`` rather than Spark's zips when it can. Safe to call
-    repeatedly; each of the four settings the caller's
-    ``PYSPARK_SUBMIT_ARGS`` already has is left as it is.
+    installed ``pyspark`` rather than Spark's zips when it can. Connects
+    the driver, its workers and the JVM over Unix sockets in the temp
+    directory: over TCP each worker waits about 40 ms for a task's input, as
+    the JVM's sockets set no ``TCP_NODELAY``. Spark refuses a socket
+    directory of more than 61 characters (it names each socket
+    ``<dir>/.<UUID>.sock``), so a longer temp directory stays on TCP. Safe
+    to call repeatedly; each setting the caller's ``PYSPARK_SUBMIT_ARGS``
+    already has is left as it is.
     """
     confs = {
         "spark.local.dir": "/dev/shm/spark-local",
@@ -44,6 +50,10 @@ def ensure_session_env() -> None:
         "spark.executorEnv.PYTHONPATH": str(Path(__file__).resolve().parents[1]),
         "spark.python.daemon.module": "repro.worker_daemon",
     }
+    sock_dir = tempfile.gettempdir()
+    if len(sock_dir) <= 61:
+        confs["spark.python.unix.domain.socket.enabled"] = "true"
+        confs["spark.python.unix.domain.socket.dir"] = sock_dir
     args = os.environ.get(
         "PYSPARK_SUBMIT_ARGS",
         f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "

@@ -3,6 +3,7 @@ import ast
 import os
 import subprocess
 import sys
+import tempfile
 import zipfile
 from pathlib import Path
 
@@ -56,7 +57,15 @@ def test_ensure_session_env_idempotent():
         os.environ["PYSPARK_SUBMIT_ARGS"] = before
 
 
-def test_ensure_session_env_adds_each_missing_conf(monkeypatch):
+def _long_dir(root: Path) -> Path:
+    """An existing directory under ``root`` whose path has 70 characters or
+    more: too long for Spark's Unix-socket directory."""
+    path = root / ("d" * max(1, 70 - len(str(root))))
+    path.mkdir()
+    return path
+
+
+def test_ensure_session_env_adds_each_missing_conf(monkeypatch, tmp_path):
     """A caller's own ``spark.local.dir`` does not stop the workers' path."""
     monkeypatch.setenv(
         "PYSPARK_SUBMIT_ARGS",
@@ -80,24 +89,66 @@ def test_ensure_session_env_adds_each_missing_conf(monkeypatch):
     assert args.count("spark.python.daemon.module") == 1
     assert "spark.python.daemon.module=pyspark.daemon" in args
 
+    # Unix sockets in the temp directory, up to Spark's 61 characters; a
+    # caller's own switch wins.
+    short = "/" + "x" * 60
+    monkeypatch.setattr(tempfile, "tempdir", short)
+    monkeypatch.setenv("PYSPARK_SUBMIT_ARGS", "pyspark-shell")
+    su.ensure_session_env()
+    args = os.environ["PYSPARK_SUBMIT_ARGS"]
+    assert "spark.python.unix.domain.socket.enabled=true" in args
+    assert f"spark.python.unix.domain.socket.dir={short}" in args
 
-def test_python_workers_import_repro_without_pythonpath(tmp_path):
-    """``eve_spg_batch`` answers in a fresh session whose Python workers get
-    no ``PYTHONPATH`` from the environment. The batch has two queries, as a
-    one-query batch runs on the driver and would start no Python worker."""
+    monkeypatch.setenv(
+        "PYSPARK_SUBMIT_ARGS",
+        "--conf spark.python.unix.domain.socket.enabled=false pyspark-shell",
+    )
+    su.ensure_session_env()
+    args = os.environ["PYSPARK_SUBMIT_ARGS"]
+    assert args.count("spark.python.unix.domain.socket.enabled") == 1
+    assert "spark.python.unix.domain.socket.enabled=false" in args
+
+    monkeypatch.setattr(tempfile, "tempdir", short + "x")
+    monkeypatch.setenv("PYSPARK_SUBMIT_ARGS", "pyspark-shell")
+    su.ensure_session_env()
+    assert "unix.domain" not in os.environ["PYSPARK_SUBMIT_ARGS"]
+
+    monkeypatch.setattr(tempfile, "tempdir", None)
+    monkeypatch.setenv("TMPDIR", str(_long_dir(tmp_path)))
+    monkeypatch.setenv("PYSPARK_SUBMIT_ARGS", "pyspark-shell")
+    su.ensure_session_env()
+    assert "unix.domain" not in os.environ["PYSPARK_SUBMIT_ARGS"]
+
+
+def _run_script(cwd: Path, **env_vars: str) -> None:
+    """Run ``SCRIPT`` in a fresh ``local[1]`` session with no ``PYTHONPATH``
+    and check its two-query ``eve_spg_batch`` against brute force."""
     s, t = FIG1_IDS["s"], FIG1_IDS["t"]
     want = bf.spg_edges(adjacency(figure1_graph()), s, t, 6)
     src = Path(su.__file__).resolve().parents[1]
     env = {k: v for k, v in os.environ.items()
            if k not in ("PYTHONPATH", "PYSPARK_SUBMIT_ARGS")}
-    env.update(SPARK_MASTER="local[1]", SPARK_DRIVER_MEM="1g")
+    env.update(SPARK_MASTER="local[1]", SPARK_DRIVER_MEM="1g", **env_vars)
     env.setdefault("PYSPARK_PYTHON", sys.executable)
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT.format(src=str(src), s=s, t=t)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600,
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr[-3000:]
     assert ast.literal_eval(proc.stdout.strip().splitlines()[-1]) == [sorted(want)] * 2
+
+
+def test_python_workers_import_repro_without_pythonpath(tmp_path):
+    """``eve_spg_batch`` answers in a fresh session whose Python workers get
+    no ``PYTHONPATH`` from the environment. The batch has two queries, as a
+    one-query batch runs on the driver and would start no Python worker."""
+    _run_script(tmp_path)
+
+
+def test_session_with_a_long_temp_directory_answers_over_tcp(tmp_path):
+    """A temp directory too long for Spark's Unix sockets leaves the session
+    on TCP: it starts, and its Python workers answer."""
+    _run_script(tmp_path, TMPDIR=str(_long_dir(tmp_path)))
 
 
 @pytest.mark.skipif(
